@@ -8,15 +8,14 @@
 // the preserved frames) against every application and requires no torn
 // survivor; "escalation" drives repeated preserved-state corruption through
 // the crash-loop breaker and requires the full detect → escalate →
-// de-escalate cycle; "cluster" drives client traffic through a replicated
-// serving tier over a simulated network while nodes are killed, drained, and
-// partitioned on a schedule, and requires PHOENIX's measured availability to
-// strictly beat a vanilla restart's under identical faults; "shard" drives
-// open-loop traffic through a sharded serving fabric while replicas are
-// killed and shards are live-migrated mid-traffic, and requires PHOENIX to
-// beat vanilla on availability and on the migration cutover window (delta
-// convergence vs stop-and-copy), with zero lost acked writes and zero
-// non-owner serves; "explore" sweeps
+// de-escalate cycle; "shard" and "cluster" drive open-loop traffic through
+// the serving fabric over a simulated network and require PHOENIX to beat
+// a vanilla restart on availability and unavailability under identical
+// faults — "shard" on four two-replica shards while replicas are killed and
+// shards are live-migrated mid-traffic (also requiring a shorter migration
+// cutover than stop-and-copy, zero lost acked writes and zero non-owner
+// serves), "cluster" on the replicated tier, one shard of three replicas,
+// while replicas are killed, drained, and partitioned; "explore" sweeps
 // randomized fault schedules (one per seed) against per-app invariant
 // oracles, shrinking every violation to a minimal replayable artifact; "vet"
 // differentially validates the phxvet static verifier — every application
@@ -62,7 +61,6 @@ import (
 
 	"phoenix/internal/analysis"
 	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
 	"phoenix/internal/explore"
 	"phoenix/internal/ir"
 	"phoenix/internal/lint"
@@ -270,38 +268,11 @@ func runSystemCampaign(kind, only string, seed int64, crashes int) error {
 	return nil
 }
 
-// runClusterCampaign runs the availability-under-traffic campaign: each
-// registry application's cluster profile, PHOENIX vs builtin vs vanilla under
-// one fault schedule. With jsonOut the three full reports per system are
-// emitted as deterministic JSON (fixed field order, sorted map keys); the
-// contract check still runs either way.
+// runClusterCampaign runs the replicated-tier availability campaign: each
+// registry application on a one-shard fabric of three replicas, PHOENIX vs
+// builtin vs vanilla under one kill/drain/partition schedule.
 func runClusterCampaign(only string, seed int64, jsonOut bool) error {
-	systems := registry.ClusterSystems(seed)
-	if only != "" {
-		var keep []cluster.System
-		for _, s := range systems {
-			if s.Name == only {
-				keep = append(keep, s)
-			}
-		}
-		if keep == nil {
-			return fmt.Errorf("unknown app %q (have %v)", only, registry.Names())
-		}
-		systems = keep
-	}
-	res, cerr := cluster.CheckCluster(systems, cluster.Options{Seed: seed})
-	if jsonOut {
-		out, err := json.Marshal(res)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s\n", out)
-	} else {
-		for _, r := range res {
-			fmt.Print(cluster.FmtComparison(r))
-		}
-	}
-	return cerr
+	return runFabricCampaign(registry.ClusterSystems(seed), registry.Names(), only, shard.ReplicatedOptions(seed), jsonOut)
 }
 
 // runShardCampaign runs the sharded-fabric availability comparison: per
@@ -309,7 +280,14 @@ func runClusterCampaign(only string, seed int64, jsonOut bool) error {
 // kill-and-rebalance schedule, with the live-migration and lost-write
 // contracts enforced (and every mode double-run byte-identically).
 func runShardCampaign(only string, seed int64, jsonOut bool) error {
-	systems := registry.ShardSystems(seed)
+	return runFabricCampaign(registry.ShardSystems(seed), registry.ShardNames(), only, shard.Options{Seed: seed}, jsonOut)
+}
+
+// runFabricCampaign runs CheckShard over systems (restricted to only when
+// set). With jsonOut the three full reports per system are emitted as
+// deterministic JSON (fixed field order, sorted map keys); the contract
+// check still runs either way.
+func runFabricCampaign(systems []shard.System, names []string, only string, o shard.Options, jsonOut bool) error {
 	if only != "" {
 		var keep []shard.System
 		for _, s := range systems {
@@ -318,11 +296,11 @@ func runShardCampaign(only string, seed int64, jsonOut bool) error {
 			}
 		}
 		if keep == nil {
-			return fmt.Errorf("unknown app %q (have %v)", only, registry.ShardNames())
+			return fmt.Errorf("unknown app %q (have %v)", only, names)
 		}
 		systems = keep
 	}
-	res, cerr := shard.CheckShard(systems, shard.Options{Seed: seed})
+	res, cerr := shard.CheckShard(systems, o)
 	if jsonOut {
 		out, err := json.Marshal(res)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"phoenix/internal/apps/lsmdb"
 	"phoenix/internal/apps/particle"
 	"phoenix/internal/apps/webcache"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
@@ -136,21 +135,25 @@ func ConcurrencySpecs(seed int64) []recovery.ConcurrencySpec {
 	return out
 }
 
-// ClusterProfile returns the client-population profile the cluster campaign
-// drives against the named system. The storage apps get a Zipfian read-heavy
-// keyspace that the warm phase pre-populates (so reads are effective until a
-// restart loses the data); the caches get the same web trace their factory
-// wired as the origin; the compute apps get fewer, slower clients so a
-// node's step count stays inside the factory's iteration budget.
-func ClusterProfile(name string, seed int64) cluster.Profile {
+// ClusterProfile returns the open-loop client profile the replicated-tier
+// ("cluster") campaign drives against the named system on a one-shard
+// fabric. The storage apps get a Zipfian read-heavy keyspace that the warm
+// phase pre-populates (so reads are effective until a restart loses the
+// data); the caches get the same web trace their factory wired as the
+// origin; the compute apps get a slow step stream so a replica's step count
+// stays inside the factory's iteration budget. ArrivalMean offers half the
+// throughput a closed-loop population of two to three clients per replica
+// reaches, so two replicas carry the load while the third recovers.
+func ClusterProfile(name string, seed int64) shard.Profile {
 	switch name {
 	case "kvstore", "lsmdb":
 		const records, valueSize = 64, 64
-		p := cluster.Profile{
+		p := shard.Profile{
 			Proto: workload.NewYCSB(workload.YCSBConfig{
 				Seed: seed, Records: records, ReadFrac: 0.7, InsertFrac: 0.05,
 				ValueSize: valueSize, ZipfianKeys: true,
 			}),
+			ArrivalMean: 230 * time.Microsecond,
 			// Long enough that a cold reboot (kvstore 300ms, lsmdb 120ms)
 			// completes inside the traffic window: builtin comes back with its
 			// RDB restored while vanilla comes back empty, and the difference
@@ -158,8 +161,8 @@ func ClusterProfile(name string, seed int64) cluster.Profile {
 			// simply staying dark.
 			RunFor: 600 * time.Millisecond,
 		}
-		// Pre-populate the YCSB keyspace on every node: the generator reads
-		// keys it assumes exist.
+		// Pre-populate the YCSB keyspace on every replica: the generator
+		// reads keys it assumes exist.
 		for i := uint64(0); i < records; i++ {
 			key := fmt.Sprintf("user%010d", i)
 			p.Warm = append(p.Warm, &workload.Request{
@@ -174,25 +177,38 @@ func ClusterProfile(name string, seed int64) cluster.Profile {
 		web := workload.NewWeb(workload.WebConfig{Seed: seed, URLs: 100, MeanSize: 2 << 10})
 		// 600ms outlives the 400ms cold boot for the first kill; a returned
 		// vanilla cache refills popular URLs on demand.
-		p := cluster.Profile{Proto: web, RunFor: 600 * time.Millisecond}
+		p := shard.Profile{Proto: web, ArrivalMean: 625 * time.Microsecond, RunFor: 600 * time.Millisecond}
 		warm := web.Clone(seed + 7001)
 		for i := 0; i < 300; i++ {
 			p.Warm = append(p.Warm, warm.Next())
 		}
 		return p
 	case "boost", "particle":
-		// One step per request; keep per-node totals inside boost's
-		// MaxIters=256 budget (2 clients/node, ~4ms closed-loop period).
-		return cluster.Profile{
-			Proto:          &StepGen{},
-			ClientsPerNode: 2,
-			Think:          4 * time.Millisecond,
-			Timeout:        40 * time.Millisecond,
-			RunFor:         400 * time.Millisecond,
+		// One step per request, about 160 over three replicas: well inside
+		// boost's MaxIters=256 budget per replica.
+		return shard.Profile{
+			Proto:       &spreadStepGen{},
+			ArrivalMean: 2500 * time.Microsecond,
+			Timeout:     40 * time.Millisecond,
+			RunFor:      400 * time.Millisecond,
 		}
 	}
 	panic("registry: no cluster profile for system " + name)
 }
+
+// spreadStepGen is StepGen for a replica group: the fabric spreads reads
+// over the group by key slot, and StepGen's constant key would pin every
+// step to one replica, so a killed replica would never serve the read that
+// closes its unavailability window. Keys cycle through 24 names, enough to
+// spread over a small group.
+type spreadStepGen struct{ seq uint64 }
+
+func (g *spreadStepGen) Next() *workload.Request {
+	g.seq++
+	return &workload.Request{Seq: g.seq, Op: workload.OpRead, Key: fmt.Sprintf("step%d", g.seq%24)}
+}
+
+func (g *spreadStepGen) Clone(seed int64) workload.Generator { return &spreadStepGen{} }
 
 // ShardNames returns the systems the sharded campaign runs: the
 // key-addressed stores. The caches are read-only traffic (the lost-write
@@ -245,13 +261,13 @@ func ShardSystems(seed int64) []shard.System {
 	return out
 }
 
-// ClusterSystems bundles every registered application with its campaign
-// profile, in deterministic name order.
-func ClusterSystems(seed int64) []cluster.System {
+// ClusterSystems bundles every registered application with its
+// replicated-tier profile, in deterministic name order.
+func ClusterSystems(seed int64) []shard.System {
 	factories := Factories(seed)
-	var out []cluster.System
+	var out []shard.System
 	for _, name := range Names() {
-		out = append(out, cluster.System{
+		out = append(out, shard.System{
 			Name:    name,
 			Factory: factories[name],
 			Profile: ClusterProfile(name, seed),

@@ -15,8 +15,8 @@ import (
 // recovery, and a vanilla restart. The figure reports per-mode
 // availability, latency percentiles, total unavailability, the migration
 // cutover window, and the per-move delta-round trajectory; the per-shard
-// kill windows show the sharding dividend over the whole-replica clusters
-// of figcluster.
+// kill windows show the sharding dividend over figcluster's one-shard
+// replicated tier.
 //
 // The run doubles as the campaign's contract check: CheckShard asserts the
 // availability ordering, that PHOENIX's delta-converged cutover beats the

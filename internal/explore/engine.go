@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/kernel"
 	"phoenix/internal/mem"
@@ -17,7 +16,7 @@ import (
 )
 
 // crashVA is the synthetic "kill -9": an address no layout maps (same class
-// as the recovery and cluster campaigns use).
+// as the recovery and fabric campaigns use).
 const crashVA = mem.VAddr(0x2_0000_0000)
 
 // Violation is one oracle failure, attributed to the oracle that found it.
@@ -71,19 +70,14 @@ func Run(sch Schedule) (Outcome, error) {
 		Terminated:       obs.Terminated,
 		Violations:       []Violation{},
 	}
-	if obs.Cluster != nil {
-		out.Requests = obs.Cluster.Requests
-		out.Recoveries = obs.Cluster.Kills
-		out.FinalLevel = ""
-	}
 	if obs.Shard != nil {
 		out.Requests = obs.Shard.Requests
 		out.Recoveries = obs.Shard.Kills
 		out.FinalLevel = ""
 	}
-	oracles := registry.OraclesFor(sch.App, sch.Mode == "cluster")
-	if sch.Mode == "shard" {
-		oracles = registry.ShardOracles()
+	oracles := registry.ShardOracles()
+	if sch.Mode == "single" {
+		oracles = registry.OraclesFor(sch.App)
 	}
 	for _, oracle := range oracles {
 		for _, msg := range oracle.Check(obs) {
@@ -306,36 +300,30 @@ func runSingle(sch Schedule) (*registry.Observation, error) {
 	return obs, nil
 }
 
-// runCluster replays the schedule against a replicated PHOENIX serving tier:
-// kills, drains, and partitions become the cluster fault script, and
-// linkfault events arm the shared network injector before traffic opens.
+// runCluster replays the schedule against the replicated tier, a one-shard
+// fabric of sch.Replicas replicas with no spares: kills, drains, partitions,
+// and snapshot reads target replica slot ev.Node, and linkfault events arm
+// the fabric's network injector before traffic opens.
 func runCluster(sch Schedule) (*registry.Observation, error) {
 	mk, ok := registry.Factories(sch.Seed)[sch.App]
 	if !ok {
 		return nil, fmt.Errorf("explore: unknown app %q", sch.App)
 	}
-	prof := registry.ClusterProfile(sch.App, sch.Seed)
-	if prof.CheckpointInterval <= 0 {
-		// Mirror the cluster campaign: the harness checkpoint cadence follows
-		// the profile's (filled) persistence cadence.
-		prof.CheckpointInterval = 2 * time.Millisecond
-	}
 	inj := faultinject.New()
 	netsim.RegisterSites(inj)
-
-	var csched cluster.Schedule
+	var ssched shard.Schedule
 	for _, ev := range sch.Events {
 		at := time.Duration(ev.AtUs) * time.Microsecond
-		dur := time.Duration(ev.DurUs) * time.Microsecond
+		w := shard.Window{From: at, To: at + time.Duration(ev.DurUs)*time.Microsecond, Replica: ev.Node}
 		switch ev.Kind {
 		case KindKill:
-			csched.Kills = append(csched.Kills, cluster.Kill{At: at, Node: ev.Node})
+			ssched.Kills = append(ssched.Kills, shard.Kill{At: at, Replica: ev.Node})
 		case KindDrain:
-			csched.Drains = append(csched.Drains, cluster.Window{From: at, To: at + dur, Node: ev.Node})
+			ssched.Drains = append(ssched.Drains, w)
 		case KindPartition:
-			csched.Partitions = append(csched.Partitions, cluster.Window{From: at, To: at + dur, Node: ev.Node})
+			ssched.Partitions = append(ssched.Partitions, w)
 		case KindSnapshotRead:
-			csched.SnapshotReads = append(csched.SnapshotReads, cluster.SnapshotRead{At: at, Node: ev.Node, Readers: ev.Readers})
+			ssched.SnapshotReads = append(ssched.SnapshotReads, shard.SnapshotRead{At: at, Replica: ev.Node, Readers: ev.Readers})
 		case KindLinkFault:
 			inj.Disarm(ev.Site)
 			inj.ArmAfter(ev.Site, faultinject.OpFailure, ev.Skip)
@@ -344,24 +332,12 @@ func runCluster(sch Schedule) (*registry.Observation, error) {
 			return nil, fmt.Errorf("explore: event %s invalid in cluster mode", ev)
 		}
 	}
-
-	cfg := cluster.Config{
-		System:   sch.App,
-		Replicas: sch.Replicas,
-		Seed:     sch.Seed,
-		Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval},
-		Profile:  prof,
-		Inj:      inj,
-	}
-	rep, err := cluster.Run(cfg, mk, csched)
-	if err != nil {
-		return nil, fmt.Errorf("explore: cluster run: %w", err)
-	}
-	return &registry.Observation{
-		App:     sch.App,
-		Seed:    sch.Seed,
-		Cluster: &rep,
-	}, nil
+	prof := registry.ClusterProfile(sch.App, sch.Seed)
+	// Mirror the cluster campaign: the harness checkpoint cadence follows
+	// the profile's (filled) persistence cadence.
+	prof.CheckpointInterval = 2 * time.Millisecond
+	cfg := shard.Config{Shards: 1, Replicas: sch.Replicas, Inj: inj}
+	return runFabric(sch, mk, prof, cfg, ssched)
 }
 
 // shardRunFor overrides the shard profile's traffic window for explored
@@ -399,22 +375,18 @@ func runShard(sch Schedule) (*registry.Observation, error) {
 		}
 	}
 
-	cfg := shard.Config{
-		System:   sch.App,
-		Shards:   sch.Shards,
-		Replicas: sch.Replicas,
-		Spares:   sch.Spares,
-		Seed:     sch.Seed,
-		Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval},
-		Profile:  prof,
-	}
+	cfg := shard.Config{Shards: sch.Shards, Replicas: sch.Replicas, Spares: sch.Spares}
+	return runFabric(sch, mk, prof, cfg, ssched)
+}
+
+// runFabric runs one PHOENIX fabric under the schedule's app and seed and
+// wraps its report as the observation the shard oracle judges.
+func runFabric(sch Schedule, mk recovery.AppFactory, prof shard.Profile, cfg shard.Config, ssched shard.Schedule) (*registry.Observation, error) {
+	cfg.System, cfg.Seed, cfg.Profile = sch.App, sch.Seed, prof
+	cfg.Recovery = recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval}
 	rep, err := shard.Run(cfg, mk, ssched)
 	if err != nil {
-		return nil, fmt.Errorf("explore: shard run: %w", err)
+		return nil, fmt.Errorf("explore: %s run: %w", sch.Mode, err)
 	}
-	return &registry.Observation{
-		App:   sch.App,
-		Seed:  sch.Seed,
-		Shard: &rep,
-	}, nil
+	return &registry.Observation{App: sch.App, Seed: sch.Seed, Shard: &rep}, nil
 }

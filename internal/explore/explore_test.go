@@ -52,7 +52,7 @@ func TestGenerateForcedApp(t *testing.T) {
 }
 
 // TestRunDeterministic: the same schedule runs to byte-identical outcomes in
-// both modes.
+// both modes, and a cluster schedule replays clean on the one-shard fabric.
 func TestRunDeterministic(t *testing.T) {
 	ran := map[string]bool{}
 	for seed := int64(1); seed <= 12 && (!ran["single"] || !ran["cluster"]); seed++ {
@@ -77,9 +77,12 @@ func TestRunDeterministic(t *testing.T) {
 		if a.Requests == 0 {
 			t.Fatalf("seed %d (%s): run served nothing", seed, sch.Mode)
 		}
+		if sch.Mode == "cluster" && (len(a.Violations) != 0 || a.Recoveries == 0) {
+			t.Fatalf("seed %d: cluster schedule on the one-shard fabric: %d kills, violations %v", seed, a.Recoveries, a.Violations)
+		}
 	}
-	if !ran["single"] {
-		t.Fatal("no single-mode schedule in the first 12 seeds")
+	if !ran["single"] || !ran["cluster"] {
+		t.Fatalf("the first 12 seeds did not draw both modes: %v", ran)
 	}
 }
 

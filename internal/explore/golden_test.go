@@ -11,10 +11,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"phoenix/internal/apps/registry"
-	"phoenix/internal/cluster"
 	"phoenix/internal/recovery"
+	"phoenix/internal/shard"
 )
 
 // goldenJSON marshals v twice around a re-computation and requires equality.
@@ -57,19 +58,27 @@ func TestGoldenEscalationCampaign(t *testing.T) {
 	}
 }
 
+// TestGoldenClusterRun pins the replicated tier — a one-shard fabric of
+// three replicas under the replicated kill/drain/partition schedule — to
+// byte-identical reports across same-seed runs.
 func TestGoldenClusterRun(t *testing.T) {
 	run := func() []byte {
 		mk := registry.Factories(7)["kvstore"]
 		prof := registry.ClusterProfile("kvstore", 7)
-		cfg := cluster.Config{
+		cfg := shard.Config{
 			System:   "kvstore",
+			Shards:   1,
+			Replicas: 3,
 			Seed:     7,
-			Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: prof.CheckpointInterval},
+			Recovery: recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: 2 * time.Millisecond},
 			Profile:  prof,
 		}
-		rep, err := cluster.Run(cfg, mk, cluster.DefaultSchedule(prof, 3))
+		rep, err := shard.Run(cfg, mk, shard.ReplicatedSchedule(prof, 1, 3))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.Kills == 0 || rep.DrainRefusals == 0 || rep.NetPartitionDrops == 0 || rep.Unrecovered != 0 {
+			t.Fatalf("replicated schedule not exercised: %s", rep)
 		}
 		j, err := rep.JSON()
 		if err != nil {

@@ -2,7 +2,8 @@
 // PHOENIX recovery stack: from a single int64 seed it generates a random
 // fault schedule — preserve-path operation failures, Byzantine bit flips,
 // synthetic process kills, supervisor-calming idle periods, and (in cluster
-// mode) node kills, balancer drains, network partitions, and link faults —
+// mode, a one-shard fabric of replicas) replica kills, drains, network
+// partitions, and link faults —
 // runs the schedule against a registry application, and checks the
 // per-application invariant oracles (registry.OraclesFor). A violated oracle
 // triggers deterministic shrinking to a minimal failing schedule and a
@@ -27,18 +28,18 @@ import (
 
 // Event kinds. Single-harness schedules use arm/kill/calm with At as a
 // request index; cluster schedules use kill/drain/partition with AtUs as a
-// cluster-clock instant and linkfault as an up-front arming.
+// fabric-clock instant and linkfault as an up-front arming.
 const (
 	// KindArm arms one preserve-path fault site (Site, Skip) just before
 	// request At; the fault strikes the next recovery that reaches the site.
 	KindArm = "arm"
-	// KindKill crashes the process (single) or one node (cluster).
+	// KindKill crashes the process (single) or one replica (cluster).
 	KindKill = "kill"
 	// KindCalm advances the simulated clock by DurUs before request At, long
 	// enough for the supervisor's stable period to de-escalate the ladder.
 	KindCalm = "calm"
 	// KindDrain and KindPartition open a [AtUs, AtUs+DurUs) window against
-	// Node (cluster only).
+	// replica slot Node (cluster only).
 	KindDrain     = "drain"
 	KindPartition = "partition"
 	// KindLinkFault arms one netsim.link.* site with Skip (cluster only).
@@ -117,15 +118,15 @@ func (e Event) String() string {
 // Schedule is one generated fault script: the search space element a seed
 // maps to and the unit shrinking minimizes. Mode "single" drives one
 // recovery.Harness request by request; mode "cluster" replays the events
-// against a replicated serving tier.
+// against a replicated serving tier (a one-shard fabric).
 type Schedule struct {
 	Seed int64  `json:"seed"`
 	App  string `json:"app"`
 	Mode string `json:"mode"`
 	// Steps is the single-mode request count.
 	Steps int `json:"steps,omitempty"`
-	// Replicas is the cluster-mode node count, or the shard-mode replicas
-	// per shard.
+	// Replicas is the cluster-mode replica count (of its one shard), or the
+	// shard-mode replicas per shard.
 	Replicas int `json:"replicas,omitempty"`
 	// Shards and Spares shape the shard-mode fabric: Shards replica groups
 	// plus a warm spare pool migrations draw from.
@@ -335,7 +336,7 @@ func generateCluster(rng *rand.Rand, seed int64, app string) Schedule {
 	}
 	// At most one kill per node: a second kill on the same node at these time
 	// scales lands inside the PHOENIX grace window and only measures the
-	// fallback path (mirrors cluster.DefaultSchedule's rationale).
+	// fallback path (mirrors shard.ReplicatedSchedule's rationale).
 	order := rng.Perm(sch.Replicas)
 	kills := 1 + rng.Intn(2)
 	for i := 0; i < kills; i++ {

@@ -6,10 +6,9 @@ import (
 	"go/types"
 )
 
-// The determinism analyzer: the repo-wide, type-resolved generalization of
-// the original syntactic checker in lint.go. Same-seed byte-identical reruns
-// are the foundation every campaign gate stands on, so production code must
-// not:
+// The determinism analyzer: a repo-wide, type-resolved check. Same-seed
+// byte-identical reruns are the foundation every campaign gate stands on, so
+// production code must not:
 //
 //   - read the wall clock (time.Now, time.Since) — simulated components ride
 //     simclock, and even host-side tooling must keep timing out of

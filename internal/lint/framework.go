@@ -1,3 +1,8 @@
+// Package lint is the phoenixlint static contract suite: type-resolved
+// analyzers (snapshot purity, dirty-bit soundness, cost charging,
+// determinism) run over the whole module, with a checked-in baseline of
+// accepted exceptions. Test files are exempt; they may read the wall clock
+// for timeouts.
 package lint
 
 import (

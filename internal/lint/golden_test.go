@@ -23,6 +23,7 @@ var golden = []Diagnostic{
 	{"determinism", "internal/det/det.go", 20, 9, "package-level rand.Intn draws from shared global state; thread a seeded *rand.Rand"},
 	{"determinism", "internal/det/det.go", 25, 2, "rand.Shuffle permutes via the unseeded global generator; use a seeded *rand.Rand"},
 	{"determinism", "internal/det/det.go", 37, 2, "key+value map iteration in a JSON-producing function; iterate sorted keys for byte-stable output"},
+	{"determinism", "internal/det/det.go", 73, 2, "key+value map iteration in a JSON-producing function; iterate sorted keys for byte-stable output"},
 	{"cost-charging", "internal/kernel/kernel.go", 24, 1, "exported BadSweep does per-page work without charging a costmodel term"},
 	{"cost-charging", "internal/kernel/kernel.go", 30, 1, "exported CondSweep does per-page work but charges only conditionally; charge on every path"},
 	{"cost-charging", "internal/kernel/kernel.go", 52, 1, "exported BadTransitive does per-page work without charging a costmodel term"},

@@ -62,3 +62,18 @@ func CountValues(m map[string]int) int {
 	}
 	return n
 }
+
+// SeededChain draws from a seeded generator built inline: legal.
+func SeededChain(seed int64) int { return rand.New(rand.NewSource(seed)).Intn(6) }
+
+// MapSumJSON folds a key+value map range into one value it then marshals;
+// the fold order is still map order.
+func MapSumJSON(m map[string]int) []byte {
+	total := 0
+	for k, v := range m {
+		_ = k
+		total += v
+	}
+	b, _ := json.Marshal(total)
+	return b
+}

@@ -83,25 +83,40 @@ type RecoveryCounters struct {
 func NewRecoveryCounters() *RecoveryCounters { return &RecoveryCounters{} }
 
 // Snapshot exports the counters as a name → value map for reports and tests.
-// It is safe to call concurrently with updates; each value is read
-// atomically (the map as a whole is not one consistent cut).
+// It is safe to call concurrently with updates. Its one ordering guarantee:
+// a counter that is only ever bumped after another one (committed and
+// aborted preserves after staged, integrity fallbacks after checksum
+// mismatches, rewinds after domain discards, de-escalations after
+// escalations after breaker trips) is loaded before the counter that bounds
+// it, so a concurrent snapshot never shows the dependent ahead of its bound.
+// Unrelated counters may come from different instants.
 func (c *RecoveryCounters) Snapshot() map[string]int64 {
+	committed := c.PreservesCommitted.Load()
+	aborted := c.PreservesAborted.Load()
+	staged := c.PreservesStaged.Load()
+	integrity := c.IntegrityFallbacks.Load()
+	mismatches := c.ChecksumMismatches.Load()
+	rewinds := c.Rewinds.Load()
+	discards := c.DomainDiscards.Load()
+	deesc := c.Deescalations.Load()
+	esc := c.Escalations.Load()
+	trips := c.BreakerTrips.Load()
 	return map[string]int64{
-		"preserves_staged":              c.PreservesStaged.Load(),
-		"preserves_committed":           c.PreservesCommitted.Load(),
-		"preserves_aborted":             c.PreservesAborted.Load(),
+		"preserves_staged":              staged,
+		"preserves_committed":           committed,
+		"preserves_aborted":             aborted,
 		"checksums_verified":            c.ChecksumsVerified.Load(),
-		"checksum_mismatches":           c.ChecksumMismatches.Load(),
+		"checksum_mismatches":           mismatches,
 		"checksums_reused":              c.ChecksumsReused.Load(),
 		"incremental_audit_divergences": c.IncrementalAuditDivergences.Load(),
 		"recovery_fault_fallbacks":      c.RecoveryFaultFallbacks.Load(),
-		"integrity_fallbacks":           c.IntegrityFallbacks.Load(),
-		"breaker_trips":                 c.BreakerTrips.Load(),
-		"escalations":                   c.Escalations.Load(),
-		"deescalations":                 c.Deescalations.Load(),
-		"rewinds":                       c.Rewinds.Load(),
+		"integrity_fallbacks":           integrity,
+		"breaker_trips":                 trips,
+		"escalations":                   esc,
+		"deescalations":                 deesc,
+		"rewinds":                       rewinds,
 		"microreboots":                  c.Microreboots.Load(),
-		"domain_discards":               c.DomainDiscards.Load(),
+		"domain_discards":               discards,
 	}
 }
 

@@ -7,15 +7,22 @@ import (
 	"phoenix/internal/recovery"
 )
 
-// This file implements the sharded availability campaign: for each
-// registered application, replay the identical kill-and-rebalance schedule
-// (replica kills, live shard moves, a ring change) against a PHOENIX fabric,
-// a builtin-recovery fabric, and a vanilla fabric under the same open-loop
-// client population, and check the sharded serving contract — no key is ever
-// served by a non-owner, no acknowledged write is lost across a migration,
-// PHOENIX's availability strictly exceeds vanilla's, its preserve-riding
-// migrations freeze the shard for less time than stop-and-copy, and the
-// whole run is a deterministic replay (same seed → byte-identical report).
+// This file implements the availability-under-traffic campaign: for each
+// registered application, replay the identical fault schedule against a
+// PHOENIX fabric, a builtin-recovery fabric, and a vanilla fabric under the
+// same open-loop client population, and check the serving contract — no
+// key is ever served by a non-owner, PHOENIX's availability strictly
+// exceeds vanilla's and its unavailability is strictly shorter, every
+// PHOENIX kill recovers to effective service, and the whole run is a
+// deterministic replay (same seed → byte-identical report). The schedule
+// decides which further clauses apply: moves require completed migrations,
+// no lost acknowledged write, and a preserve-riding cutover shorter than
+// stop-and-copy; drains require refusals and no request started while
+// draining; partitions require fabric drops and no escaped response.
+//
+// The multi-shard campaign runs DefaultSchedule on a 4×2+2 fabric; the
+// replicated-tier ("cluster") campaign runs ReplicatedSchedule on one shard
+// of three replicas with no spares (ReplicatedOptions).
 
 // System pairs an application factory with its shard workload profile. The
 // campaign's caller wires these from the app registry; the shard package
@@ -31,10 +38,19 @@ type System struct {
 type Options struct {
 	// Seed drives every run (default 1).
 	Seed int64
-	// Shards/Replicas/Spares shape the fabric (defaults 4/2/2).
+	// Shards/Replicas/Spares shape the fabric (defaults 4/2/2; a negative
+	// Spares means none).
 	Shards   int
 	Replicas int
 	Spares   int
+	// Schedule builds each system's fault script (default DefaultSchedule).
+	Schedule func(p Profile, shards, replicas int) Schedule
+}
+
+// ReplicatedOptions shapes the replicated-tier campaign: one shard, three
+// replicas, no spares, under ReplicatedSchedule.
+func ReplicatedOptions(seed int64) Options {
+	return Options{Seed: seed, Shards: 1, Replicas: 3, Spares: -1, Schedule: ReplicatedSchedule}
 }
 
 // Result holds one system's three mode reports.
@@ -57,8 +73,11 @@ func CheckShard(systems []System, o Options) ([]Result, error) {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.Spares <= 0 {
+	if o.Spares == 0 {
 		o.Spares = 2
+	}
+	if o.Schedule == nil {
+		o.Schedule = DefaultSchedule
 	}
 	var results []Result
 	for _, sys := range systems {
@@ -73,7 +92,7 @@ func CheckShard(systems []System, o Options) ([]Result, error) {
 
 func checkSystem(sys System, o Options) (Result, error) {
 	sys.Profile.fill()
-	sched := DefaultSchedule(sys.Profile, o.Shards, o.Replicas)
+	sched := o.Schedule(sys.Profile, o.Shards, o.Replicas)
 	run := func(rcfg recovery.Config) (Report, error) {
 		cfg := Config{
 			System:   sys.Name,
@@ -117,20 +136,23 @@ func checkSystem(sys System, o Options) (Result, error) {
 	}
 
 	p, b, v := res.Phoenix, res.Builtin, res.Vanilla
+	moves := len(sched.Moves)+len(sched.RingChanges) > 0
 	switch {
 	case p.Requests == 0 || b.Requests == 0 || v.Requests == 0:
 		return res, fmt.Errorf("a mode served no traffic (phoenix=%d builtin=%d vanilla=%d requests)",
 			p.Requests, b.Requests, v.Requests)
 	case p.Kills == 0:
 		return res, fmt.Errorf("schedule killed nothing — the campaign exercised no recovery")
-	case p.MovesCompleted == 0:
+	case moves && p.MovesCompleted == 0:
 		return res, fmt.Errorf("PHOENIX completed no shard moves — the campaign exercised no migration")
-	case v.MovesCompleted == 0:
+	case moves && v.MovesCompleted == 0:
 		return res, fmt.Errorf("vanilla completed no shard moves — no stop-and-copy baseline to compare against")
 	case p.AvailabilityPct <= v.AvailabilityPct:
 		return res, fmt.Errorf("PHOENIX availability %.3f%% does not strictly exceed vanilla %.3f%%\n  phoenix: %s\n  vanilla: %s",
 			p.AvailabilityPct, v.AvailabilityPct, p, v)
-	case p.MigrateCutoverUs >= v.MigrateCutoverUs:
+	case p.UnavailTotalUs >= v.UnavailTotalUs:
+		return res, fmt.Errorf("PHOENIX unavailability %dµs did not shrink vs vanilla %dµs", p.UnavailTotalUs, v.UnavailTotalUs)
+	case moves && p.MigrateCutoverUs >= v.MigrateCutoverUs:
 		// The cutover (final ship + install + adopting boot) is the
 		// drain-free part of the freeze: its cost is a pure function of what
 		// still had to move, so preserve-riding delta rounds must beat
@@ -148,15 +170,31 @@ func checkSystem(sys System, o Options) (Result, error) {
 		if rep.LostAcked != 0 {
 			return res, fmt.Errorf("%s: %d acknowledged write(s) lost across migration (keys %v)", rep.Mode, rep.LostAcked, rep.LostKeys)
 		}
-		if rep.LedgerChecked == 0 {
+		if moves && rep.LedgerChecked == 0 {
 			return res, fmt.Errorf("%s: lost-write oracle audited nothing — no acked writes landed on migrated shards", rep.Mode)
+		}
+		for _, nd := range rep.Nodes {
+			if nd.StartedDuringDrain != 0 {
+				return res, fmt.Errorf("%s: node %d began serving %d request(s) while draining", rep.Mode, nd.Node, nd.StartedDuringDrain)
+			}
+		}
+		if len(sched.Drains) > 0 && rep.DrainRefusals == 0 {
+			return res, fmt.Errorf("%s: drain window was never exercised (no refusals)", rep.Mode)
+		}
+		if len(sched.Partitions) > 0 {
+			if rep.PartitionResponses != 0 {
+				return res, fmt.Errorf("%s: partitioned node delivered %d response(s)", rep.Mode, rep.PartitionResponses)
+			}
+			if rep.NetPartitionDrops == 0 {
+				return res, fmt.Errorf("%s: partition window was never exercised (no fabric drops)", rep.Mode)
+			}
 		}
 	}
 	return res, nil
 }
 
-// FmtComparison renders one result as the availability table the campaign
-// and the figshard experiment print.
+// FmtComparison renders one result as the availability table the campaigns
+// and the figshard and figcluster experiments print.
 func FmtComparison(res Result) string {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s (shards=%d×%d, clients=%d, kills=%d, moves=%d)\n",

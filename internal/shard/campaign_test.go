@@ -26,6 +26,24 @@ func TestCheckShardAllApps(t *testing.T) {
 	}
 }
 
+// TestCheckClusterAllApps runs the replicated-tier campaign: every registry
+// application on a one-shard fabric of three replicas, PHOENIX vs builtin
+// vs vanilla under the same kill/drain/partition schedule. The campaign
+// asserts the contract (availability and unavailability ordering, recovered
+// windows, refusing drains, sealed partitions, byte-identical replay).
+func TestCheckClusterAllApps(t *testing.T) {
+	results, err := shard.CheckShard(registry.ClusterSystems(1), shard.ReplicatedOptions(1))
+	for _, res := range results {
+		t.Logf("\n%s", shard.FmtComparison(res))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(registry.Names()) {
+		t.Fatalf("campaign covered %d systems, want %d", len(results), len(registry.Names()))
+	}
+}
+
 // TestShardReportByteIdentity is the golden determinism check at the Run
 // level: the identical configuration and schedule must produce byte-identical
 // JSON, and a different seed must not.

@@ -28,6 +28,9 @@ type Fabric struct {
 
 	deadline time.Duration
 
+	// partitioned is the node index the open partition isolates (-1 none).
+	partitioned int
+
 	// request outcome accounting.
 	totalRequests int
 	served        int
@@ -84,6 +87,7 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 		clk:         clk,
 		net:         netsim.New(clk, cfg.Link, cfg.Seed, cfg.Inj),
 		deadline:    cfg.Profile.RunFor,
+		partitioned: -1,
 		activeShard: make(map[int]*migration),
 		activeSrc:   make(map[int]*migration),
 		acked:       make(map[string]bool),
@@ -138,17 +142,23 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	f.router.start()
 	f.fe.start()
 
+	badSlot := func(what string, s, r int) error {
+		if s < 0 || s >= cfg.Shards || r < 0 || r >= cfg.Replicas {
+			return fmt.Errorf("shard: %s targets (%d,%d) outside %dx%d", what, s, r, cfg.Shards, cfg.Replicas)
+		}
+		return nil
+	}
 	for _, k := range sched.Kills {
 		k := k
-		if k.Shard < 0 || k.Shard >= cfg.Shards || k.Replica < 0 || k.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: kill targets (%d,%d) outside %dx%d", k.Shard, k.Replica, cfg.Shards, cfg.Replicas)
+		if err := badSlot("kill", k.Shard, k.Replica); err != nil {
+			return Report{}, err
 		}
 		clk.AfterFunc(k.At, func() { f.killReplica(k.Shard, k.Replica) })
 	}
 	for _, mv := range sched.Moves {
 		mv := mv
-		if mv.Shard < 0 || mv.Shard >= cfg.Shards || mv.Replica < 0 || mv.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: move targets (%d,%d) outside %dx%d", mv.Shard, mv.Replica, cfg.Shards, cfg.Replicas)
+		if err := badSlot("move", mv.Shard, mv.Replica); err != nil {
+			return Report{}, err
 		}
 		clk.AfterFunc(mv.At, func() { f.startMove(mv.Shard, mv.Replica, "move") })
 	}
@@ -161,12 +171,32 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	}
 	for _, sr := range sched.SnapshotReads {
 		sr := sr
-		if sr.Shard < 0 || sr.Shard >= cfg.Shards || sr.Replica < 0 || sr.Replica >= cfg.Replicas {
-			return Report{}, fmt.Errorf("shard: snapshot read targets (%d,%d) outside %dx%d", sr.Shard, sr.Replica, cfg.Shards, cfg.Replicas)
+		if err := badSlot("snapshot read", sr.Shard, sr.Replica); err != nil {
+			return Report{}, err
 		}
-		clk.AfterFunc(sr.At, func() {
-			f.nodes[f.router.placement[sr.Shard][sr.Replica]].snapshotRead(sr.Count, sr.Readers)
+		clk.AfterFunc(sr.At, func() { f.owner(sr.Shard, sr.Replica).snapshotRead(sr.Count, sr.Readers) })
+	}
+	for _, w := range sched.Drains {
+		w := w
+		if err := badSlot("drain", w.Shard, w.Replica); err != nil {
+			return Report{}, err
+		}
+		// The drain ends on the node it started on, even if the slot moved.
+		var nd *node
+		clk.AfterFunc(w.From, func() { nd = f.owner(w.Shard, w.Replica); nd.drainStart() })
+		clk.AfterFunc(w.To, func() {
+			if nd != nil {
+				nd.drainEnd()
+			}
 		})
+	}
+	for _, w := range sched.Partitions {
+		w := w
+		if err := badSlot("partition", w.Shard, w.Replica); err != nil {
+			return Report{}, err
+		}
+		clk.AfterFunc(w.From, func() { f.partitionStart(f.owner(w.Shard, w.Replica).idx) })
+		clk.AfterFunc(w.To, f.partitionEnd)
 	}
 
 	clk.Advance(cfg.Profile.RunFor + cfg.Profile.Settle)
@@ -180,11 +210,31 @@ func Run(cfg Config, mk recovery.AppFactory, sched Schedule) (Report, error) {
 	return f.report(sched), nil
 }
 
-// killReplica resolves (shard, replica) to whichever node owns the slot
-// right now — a kill scheduled after a move lands on the new owner.
+// owner resolves (shard, replica) to whichever node owns the slot right
+// now — an event scheduled after a move lands on the new owner.
+func (f *Fabric) owner(s, r int) *node { return f.nodes[f.router.placement[s][r]] }
+
 func (f *Fabric) killReplica(s, r int) {
 	f.shardKills[s]++
-	f.nodes[f.router.placement[s][r]].kill()
+	f.owner(s, r).kill()
+}
+
+// partitionStart isolates one node from the router, the frontend and every
+// other node; the fabric drops in-flight messages crossing the cut.
+func (f *Fabric) partitionStart(idx int) {
+	rest := []netsim.NodeID{routerID, feID}
+	for i := range f.nodes {
+		if i != idx {
+			rest = append(rest, nodeID(i))
+		}
+	}
+	f.net.Partition(rest, []netsim.NodeID{nodeID(idx)})
+	f.partitioned = idx
+}
+
+func (f *Fabric) partitionEnd() {
+	f.net.Heal()
+	f.partitioned = -1
 }
 
 // ringChange rotates the shard's read affinity and relocates its primary

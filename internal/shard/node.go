@@ -21,6 +21,9 @@ const (
 	// stateRetired is a migration source after cutover: its process is
 	// dead (single-owner invariant) and it serves nothing ever again.
 	stateRetired
+	// stateDraining refuses new work but finishes the request in hand; it
+	// stops acking probes so the router routes reads around it.
+	stateDraining
 )
 
 func (s nodeState) String() string {
@@ -33,6 +36,8 @@ func (s nodeState) String() string {
 		return "down"
 	case stateRetired:
 		return "retired"
+	case stateDraining:
+		return "draining"
 	}
 	return "?"
 }
@@ -57,13 +62,17 @@ type node struct {
 	completion *simclock.Timer
 
 	// accounting
-	accepted          int
-	refused           int
-	kills             int
-	recoveryTotal     time.Duration
-	snapshotReads     int
-	snapshotEffective int
-	snapshotStale     int
+	accepted      int
+	refused       int
+	drainRefusals int
+	// startedDuringDrain stays zero by construction (startNext only runs a
+	// serving node's queue); the campaign and the explore oracle assert it.
+	startedDuringDrain int
+	kills              int
+	recoveryTotal      time.Duration
+	snapshotReads      int
+	snapshotEffective  int
+	snapshotStale      int
 }
 
 func (nd *node) handle(m netsim.Message) {
@@ -89,8 +98,7 @@ func (nd *node) respond(env dispatchEnv, ok, eff, refused bool) respEnv {
 
 func (nd *node) onRequest(env dispatchEnv) {
 	if nd.state != stateServing {
-		nd.refused++
-		nd.f.net.Send(nd.id, routerID, nd.respond(env, false, false, true))
+		nd.refuse(env)
 		return
 	}
 	nd.accepted++
@@ -104,6 +112,9 @@ func (nd *node) onRequest(env dispatchEnv) {
 func (nd *node) startNext() {
 	if nd.busy || nd.state != stateServing || len(nd.queue) == 0 {
 		return
+	}
+	if nd.state == stateDraining {
+		nd.startedDuringDrain++
 	}
 	env := nd.queue[0]
 	nd.queue = nd.queue[1:]
@@ -138,10 +149,7 @@ func (nd *node) syncClock() {
 // duration. A migration sourcing from this node aborts first — its buffered
 // baseline dies with the process.
 func (nd *node) kill() {
-	if nd.state != stateServing && nd.state != stateDown {
-		return
-	}
-	if nd.state == stateDown {
+	if nd.state != stateServing && nd.state != stateDraining {
 		return
 	}
 	nd.f.abortMigrationsFrom(nd.idx, "source killed")
@@ -186,11 +194,13 @@ func (nd *node) kill() {
 
 // snapshotRead executes one scheduled concurrent-read batch: commit an MVCC
 // snapshot of the node's live state and serve count reads off it at the
-// given fan-out. Only a serving owner runs the batch — spares and retired
-// sources own no state, and a down node has none to freeze. Apps without
-// snapshot support skip silently so mixed-system schedules stay replayable.
+// given fan-out. Only a serving or draining owner runs the batch — spares
+// and retired sources own no state, and a down node has none to freeze;
+// snapshot reads are exactly the traffic a draining replica can keep
+// answering. Apps without snapshot support skip silently so mixed-system
+// schedules stay replayable.
 func (nd *node) snapshotRead(count, readers int) {
-	if nd.state != stateServing {
+	if nd.state != stateServing && nd.state != stateDraining {
 		return
 	}
 	if _, ok := nd.h.App.(recovery.SnapshotServer); !ok {
@@ -222,4 +232,36 @@ func (nd *node) retire() {
 	if len(nd.queue) != 0 {
 		nd.f.fail(fmt.Errorf("shard: node %d retired with %d queued requests", nd.idx, len(nd.queue)))
 	}
+}
+
+// refuse answers a dispatch the node will not serve: a fast, explicit
+// failure the router relays and the client retries.
+func (nd *node) refuse(env dispatchEnv) {
+	nd.refused++
+	if nd.state == stateDraining {
+		nd.drainRefusals++
+	}
+	nd.f.net.Send(nd.id, routerID, nd.respond(env, false, false, true))
+}
+
+// drainStart begins connection draining: the request in hand finishes, the
+// backlog and every new dispatch are refused, and the node stops acking
+// probes.
+func (nd *node) drainStart() {
+	if nd.state != stateServing {
+		return
+	}
+	nd.state = stateDraining
+	for _, env := range nd.queue {
+		nd.refuse(env)
+	}
+	nd.queue = nil
+}
+
+func (nd *node) drainEnd() {
+	if nd.state != stateDraining {
+		return
+	}
+	nd.state = stateServing
+	nd.startNext()
 }

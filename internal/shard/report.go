@@ -16,16 +16,18 @@ type NodeReport struct {
 	Replica int    `json:"replica"`
 	Role    string `json:"role"`
 
-	Accepted          int   `json:"accepted"`
-	Refused           int   `json:"refused"`
-	Kills             int   `json:"kills"`
-	RecoveryUs        int64 `json:"recovery_us"`
-	PhoenixRestarts   int   `json:"phoenix_restarts"`
-	OtherRestarts     int   `json:"other_restarts"`
-	Checkpoints       int   `json:"checkpoints"`
-	SnapshotReads     int   `json:"snapshot_reads"`
-	SnapshotEffective int   `json:"snapshot_effective"`
-	SnapshotStale     int   `json:"snapshot_stale"`
+	Accepted           int   `json:"accepted"`
+	Refused            int   `json:"refused"`
+	DrainRefusals      int   `json:"drain_refusals,omitempty"`
+	StartedDuringDrain int   `json:"started_during_drain,omitempty"`
+	Kills              int   `json:"kills"`
+	RecoveryUs         int64 `json:"recovery_us"`
+	PhoenixRestarts    int   `json:"phoenix_restarts"`
+	OtherRestarts      int   `json:"other_restarts"`
+	Checkpoints        int   `json:"checkpoints"`
+	SnapshotReads      int   `json:"snapshot_reads"`
+	SnapshotEffective  int   `json:"snapshot_effective"`
+	SnapshotStale      int   `json:"snapshot_stale"`
 	// Counters is the node machine's recovery-counter snapshot (JSON maps
 	// marshal with sorted keys, so the export is deterministic).
 	Counters map[string]int64 `json:"counters"`
@@ -124,6 +126,13 @@ type Report struct {
 	MigrateCutoverUs int64        `json:"migrate_cutover_us"`
 	MoveReports      []MoveReport `json:"move_reports"`
 
+	// DrainRefusals counts the dispatches draining nodes refused;
+	// PartitionResponses the answers that escaped a partitioned node (an
+	// oracle: it must stay zero). Fabric drops at the cut are
+	// NetPartitionDrops.
+	DrainRefusals      int `json:"drain_refusals,omitempty"`
+	PartitionResponses int `json:"partition_responses,omitempty"`
+
 	NonOwnerServes int      `json:"non_owner_serves"`
 	AckedWrites    int      `json:"acked_writes"`
 	LedgerChecked  int      `json:"ledger_checked"`
@@ -187,6 +196,8 @@ func (f *Fabric) report(sched Schedule) Report {
 		Kills:       len(sched.Kills),
 		Moves:       len(sched.Moves),
 		RingChanges: len(sched.RingChanges),
+
+		PartitionResponses: f.router.partitionResponses,
 
 		NonOwnerServes: f.router.nonOwnerServes,
 		AckedWrites:    len(f.acked),
@@ -265,22 +276,25 @@ func (f *Fabric) report(sched Schedule) Report {
 	}
 
 	for _, nd := range f.nodes {
+		rep.DrainRefusals += nd.drainRefusals
 		rep.SnapshotReads += nd.snapshotReads
 		rep.SnapshotEffective += nd.snapshotEffective
 		rep.SnapshotStale += nd.snapshotStale
 		rep.Nodes = append(rep.Nodes, NodeReport{
 			Node: nd.idx, Shard: nd.shard, Replica: nd.replica, Role: nd.state.String(),
-			Accepted:          nd.accepted,
-			Refused:           nd.refused,
-			Kills:             nd.kills,
-			RecoveryUs:        nd.recoveryTotal.Microseconds(),
-			PhoenixRestarts:   nd.h.Stat.PhoenixRestarts,
-			OtherRestarts:     nd.h.Stat.OtherRestarts,
-			Checkpoints:       nd.h.Stat.CheckpointsTaken,
-			SnapshotReads:     nd.snapshotReads,
-			SnapshotEffective: nd.snapshotEffective,
-			SnapshotStale:     nd.snapshotStale,
-			Counters:          nd.h.M.Counters.Snapshot(),
+			Accepted:           nd.accepted,
+			Refused:            nd.refused,
+			DrainRefusals:      nd.drainRefusals,
+			StartedDuringDrain: nd.startedDuringDrain,
+			Kills:              nd.kills,
+			RecoveryUs:         nd.recoveryTotal.Microseconds(),
+			PhoenixRestarts:    nd.h.Stat.PhoenixRestarts,
+			OtherRestarts:      nd.h.Stat.OtherRestarts,
+			Checkpoints:        nd.h.Stat.CheckpointsTaken,
+			SnapshotReads:      nd.snapshotReads,
+			SnapshotEffective:  nd.snapshotEffective,
+			SnapshotStale:      nd.snapshotStale,
+			Counters:           nd.h.M.Counters.Snapshot(),
 		})
 	}
 	return rep

@@ -41,6 +41,10 @@ type router struct {
 	wpends map[wkey]*wagg
 
 	nonOwnerServes int
+	// partitionResponses counts non-refused responses from the partitioned
+	// node. The fabric cuts them, so it must stay zero: the proof the
+	// isolation held.
+	partitionResponses int
 }
 
 type wkey struct {
@@ -171,6 +175,9 @@ func (r *router) groupInflight(s int) int {
 func (r *router) onResponse(env respEnv) {
 	if r.inflight[env.Node] > 0 {
 		r.inflight[env.Node]--
+	}
+	if r.f.partitioned == env.Node && !env.Refused {
+		r.partitionResponses++
 	}
 
 	// Non-owner oracle: ownership epochs bump exactly at placement flips,

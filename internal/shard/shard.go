@@ -1,16 +1,21 @@
-// Package shard is the sharded serving fabric: a consistent-hash key ring
-// over per-shard replica groups of recovery harnesses, fronted by a
-// shard-aware router, driven by an open-loop client population over a
-// netsim fabric.
+// Package shard is the serving fabric: a consistent-hash key ring over
+// per-shard replica groups of recovery harnesses, fronted by a shard-aware
+// router, driven by an open-loop client population over a netsim fabric.
 //
-// The piece that makes it more than "many clusters side by side" is live
-// shard migration: moving a shard to another node transfers its preserved
-// pages through the same PreserveExec/dirty-page machinery a PHOENIX
-// restart uses (kernel.Migration), in background delta rounds that converge
-// to the write rate, followed by a brief frozen cutover whose cost scales
-// with the final dirty delta — not the shard size. Non-PHOENIX modes move
-// the same shard by stop-and-copy (freeze first, ship everything), which is
-// what the campaign's migration-window comparison measures.
+// A replicated serving tier is the degenerate fabric: one shard, N
+// replicas, no spares. Every key then maps to the one group, reads spread
+// over its replicas by key slot, and writes replicate synchronously to all
+// of them. ReplicatedSchedule is that tier's fault script: replica kills,
+// a connection drain, and a network partition.
+//
+// The piece that makes it more than "many replicated tiers side by side" is
+// live shard migration: moving a shard to another node transfers its
+// preserved pages through the same PreserveExec/dirty-page machinery a
+// PHOENIX restart uses (kernel.Migration), in background delta rounds that
+// converge to the write rate, followed by a brief frozen cutover whose cost
+// scales with the final dirty delta — not the shard size. Non-PHOENIX modes
+// move the same shard by stop-and-copy (freeze first, ship everything),
+// which is what the campaign's migration-window comparison measures.
 //
 // Determinism: every run is a pure function of its seed. All timing flows
 // through one simclock; node machines are stopwatches whose serve and
@@ -35,7 +40,7 @@ const feID = netsim.NodeID("fe")
 func nodeID(i int) netsim.NodeID { return netsim.NodeID(fmt.Sprintf("node%d", i)) }
 
 // crashVA is an unmapped address outside every app's layout; reading it is
-// the synthetic kill vector (same as the cluster campaign's).
+// the synthetic kill vector (same as the recovery campaigns').
 const crashVA = 0x2_0000_0000
 
 // Profile shapes the client population and traffic window.
@@ -213,13 +218,26 @@ type SnapshotRead struct {
 	Readers int
 }
 
+// Window is a [From, To) interval applied to one shard replica slot,
+// resolved to the slot's owner when the window opens.
+type Window struct {
+	From, To time.Duration
+	Shard    int
+	Replica  int
+}
+
 // Schedule is the fault-and-rebalance script one run executes; the same
-// schedule replays against every recovery mode under comparison.
+// schedule replays against every recovery mode under comparison. A drain
+// makes the slot's node refuse new work (it finishes the request in hand);
+// a partition cuts the slot's node off from the router, the frontend and
+// every other node. One partition is open at a time.
 type Schedule struct {
 	Kills         []Kill
 	Moves         []Move
 	RingChanges   []RingChange
 	SnapshotReads []SnapshotRead
+	Drains        []Window
+	Partitions    []Window
 }
 
 // DefaultSchedule kills two shards' primaries around the first half of the
@@ -238,6 +256,26 @@ func DefaultSchedule(p Profile, shards, replicas int) Schedule {
 	}
 	s.Moves = []Move{mv}
 	s.RingChanges = []RingChange{{At: d * 65 / 100, Shard: 3 % shards}}
+	return s
+}
+
+// ReplicatedSchedule is the replicated tier's fault script, for a
+// one-shard fabric: kill slot 0 at 25% and slot 1 at 50% of the traffic
+// window (one kill per replica: a second kill on the same node would land
+// inside the PHOENIX grace window at these time scales and measure the
+// fallback path instead), then drain and later partition the last slot.
+// The shard count is ignored: every event targets shard 0.
+func ReplicatedSchedule(p Profile, _, replicas int) Schedule {
+	d := p.RunFor
+	s := Schedule{Kills: []Kill{{At: d / 4}}}
+	if replicas > 1 {
+		s.Kills = append(s.Kills, Kill{At: d / 2, Replica: 1})
+	}
+	last := replicas - 1
+	if replicas > 2 {
+		s.Drains = []Window{{From: d * 55 / 100, To: d * 70 / 100, Replica: last}}
+		s.Partitions = []Window{{From: d * 78 / 100, To: d * 90 / 100, Replica: last}}
+	}
 	return s
 }
 

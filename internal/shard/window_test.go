@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"phoenix/internal/apps/kvstore"
-	"phoenix/internal/cluster"
 	"phoenix/internal/faultinject"
 	"phoenix/internal/recovery"
 	"phoenix/internal/shard"
@@ -55,15 +54,16 @@ func TestPerShardKillWindowSmallerThanWholeReplica(t *testing.T) {
 	})
 	rcfg := recovery.Config{Mode: recovery.ModePhoenix, CheckpointInterval: 2 * time.Millisecond}
 
-	// Whole-replica tier: every node warms (and on a kill, preserves) all
-	// records.
-	crep, err := cluster.Run(cluster.Config{
+	// Whole-replica tier (one shard, no spares): every node warms (and on
+	// a kill, preserves) all records.
+	crep, err := shard.Run(shard.Config{
 		System:   "kvstore",
+		Shards:   1,
 		Replicas: replicas,
 		Seed:     seed,
 		Recovery: rcfg,
-		Profile:  cluster.Profile{Proto: proto, Warm: warm, RunFor: runFor},
-	}, mk, cluster.Schedule{Kills: []cluster.Kill{{At: killAt, Node: 0}}})
+		Profile:  shard.Profile{Proto: proto, Warm: warm, RunFor: runFor},
+	}, mk, shard.Schedule{Kills: []shard.Kill{{At: killAt}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPerShardKillWindowSmallerThanWholeReplica(t *testing.T) {
 	}
 
 	if len(crep.Windows) != 1 || !crep.Windows[0].Closed {
-		t.Fatalf("cluster run: want one closed kill window, got %+v", crep.Windows)
+		t.Fatalf("whole-replica run: want one closed kill window, got %+v", crep.Windows)
 	}
 	if len(srep.Windows) != 1 || !srep.Windows[0].Closed {
 		t.Fatalf("shard run: want one closed kill window, got %+v", srep.Windows)

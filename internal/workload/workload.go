@@ -64,7 +64,7 @@ type Generator interface {
 	// same seed emit identical streams, and (for seeded generators) clones
 	// with distinct seeds emit distinct streams. It clones the generator as
 	// configured, not its current cursor — each simulated client in a
-	// cluster run gets its own clone and replays from request one.
+	// fabric run gets its own clone and replays from request one.
 	Clone(seed int64) Generator
 }
 
