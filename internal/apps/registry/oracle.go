@@ -424,9 +424,6 @@ func (shardOracle) Check(o *Observation) []string {
 		}
 	}
 	for _, nd := range r.Nodes {
-		if nd.StartedDuringDrain != 0 {
-			add("node %d started %d requests while draining", nd.Node, nd.StartedDuringDrain)
-		}
 		c := nd.Counters
 		if c["preserves_committed"] > c["preserves_staged"] {
 			add("node %d: committed preserves (%d) exceed staged (%d)", nd.Node, c["preserves_committed"], c["preserves_staged"])

@@ -7,35 +7,6 @@ import (
 	"testing"
 )
 
-// TestDeterministicPackagesClean holds the simulation packages to a stricter
-// bar than the baseline-aware repo gate: the determinism analyzer must find
-// nothing at all in them, so no accepted exception can ever cover a
-// wall-clock read, global-rand draw, or map-ordered JSON there.
-func TestDeterministicPackagesClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type-check; skipped in -short")
-	}
-	root, err := FindRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := LoadRepo(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers(repo, []*Analyzer{determinismAnalyzer})
-	for _, pkg := range []string{"netsim", "shard", "explore", "simclock", "experiments"} {
-		pkg := pkg
-		t.Run(pkg, func(t *testing.T) {
-			for _, d := range diags {
-				if strings.HasPrefix(d.File, "internal/"+pkg+"/") {
-					t.Errorf("%s", d)
-				}
-			}
-		})
-	}
-}
-
 // TestLintFlagsViolations feeds the determinism analyzer a throwaway module
 // with one synthetic violation of each rule and asserts each is caught once,
 // that the clean equivalents are not, and that test files are exempt.

@@ -62,17 +62,14 @@ type node struct {
 	completion *simclock.Timer
 
 	// accounting
-	accepted      int
-	refused       int
-	drainRefusals int
-	// startedDuringDrain stays zero by construction (startNext only runs a
-	// serving node's queue); the campaign and the explore oracle assert it.
-	startedDuringDrain int
-	kills              int
-	recoveryTotal      time.Duration
-	snapshotReads      int
-	snapshotEffective  int
-	snapshotStale      int
+	accepted          int
+	refused           int
+	drainRefusals     int
+	kills             int
+	recoveryTotal     time.Duration
+	snapshotReads     int
+	snapshotEffective int
+	snapshotStale     int
 }
 
 func (nd *node) handle(m netsim.Message) {
@@ -112,9 +109,6 @@ func (nd *node) onRequest(env dispatchEnv) {
 func (nd *node) startNext() {
 	if nd.busy || nd.state != stateServing || len(nd.queue) == 0 {
 		return
-	}
-	if nd.state == stateDraining {
-		nd.startedDuringDrain++
 	}
 	env := nd.queue[0]
 	nd.queue = nd.queue[1:]

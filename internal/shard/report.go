@@ -16,18 +16,17 @@ type NodeReport struct {
 	Replica int    `json:"replica"`
 	Role    string `json:"role"`
 
-	Accepted           int   `json:"accepted"`
-	Refused            int   `json:"refused"`
-	DrainRefusals      int   `json:"drain_refusals,omitempty"`
-	StartedDuringDrain int   `json:"started_during_drain,omitempty"`
-	Kills              int   `json:"kills"`
-	RecoveryUs         int64 `json:"recovery_us"`
-	PhoenixRestarts    int   `json:"phoenix_restarts"`
-	OtherRestarts      int   `json:"other_restarts"`
-	Checkpoints        int   `json:"checkpoints"`
-	SnapshotReads      int   `json:"snapshot_reads"`
-	SnapshotEffective  int   `json:"snapshot_effective"`
-	SnapshotStale      int   `json:"snapshot_stale"`
+	Accepted          int   `json:"accepted"`
+	Refused           int   `json:"refused"`
+	DrainRefusals     int   `json:"drain_refusals,omitempty"`
+	Kills             int   `json:"kills"`
+	RecoveryUs        int64 `json:"recovery_us"`
+	PhoenixRestarts   int   `json:"phoenix_restarts"`
+	OtherRestarts     int   `json:"other_restarts"`
+	Checkpoints       int   `json:"checkpoints"`
+	SnapshotReads     int   `json:"snapshot_reads"`
+	SnapshotEffective int   `json:"snapshot_effective"`
+	SnapshotStale     int   `json:"snapshot_stale"`
 	// Counters is the node machine's recovery-counter snapshot (JSON maps
 	// marshal with sorted keys, so the export is deterministic).
 	Counters map[string]int64 `json:"counters"`
@@ -282,19 +281,18 @@ func (f *Fabric) report(sched Schedule) Report {
 		rep.SnapshotStale += nd.snapshotStale
 		rep.Nodes = append(rep.Nodes, NodeReport{
 			Node: nd.idx, Shard: nd.shard, Replica: nd.replica, Role: nd.state.String(),
-			Accepted:           nd.accepted,
-			Refused:            nd.refused,
-			DrainRefusals:      nd.drainRefusals,
-			StartedDuringDrain: nd.startedDuringDrain,
-			Kills:              nd.kills,
-			RecoveryUs:         nd.recoveryTotal.Microseconds(),
-			PhoenixRestarts:    nd.h.Stat.PhoenixRestarts,
-			OtherRestarts:      nd.h.Stat.OtherRestarts,
-			Checkpoints:        nd.h.Stat.CheckpointsTaken,
-			SnapshotReads:      nd.snapshotReads,
-			SnapshotEffective:  nd.snapshotEffective,
-			SnapshotStale:      nd.snapshotStale,
-			Counters:           nd.h.M.Counters.Snapshot(),
+			Accepted:          nd.accepted,
+			Refused:           nd.refused,
+			DrainRefusals:     nd.drainRefusals,
+			Kills:             nd.kills,
+			RecoveryUs:        nd.recoveryTotal.Microseconds(),
+			PhoenixRestarts:   nd.h.Stat.PhoenixRestarts,
+			OtherRestarts:     nd.h.Stat.OtherRestarts,
+			Checkpoints:       nd.h.Stat.CheckpointsTaken,
+			SnapshotReads:     nd.snapshotReads,
+			SnapshotEffective: nd.snapshotEffective,
+			SnapshotStale:     nd.snapshotStale,
+			Counters:          nd.h.M.Counters.Snapshot(),
 		})
 	}
 	return rep
