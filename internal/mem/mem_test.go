@@ -201,11 +201,11 @@ func TestMovePagesZeroCopy(t *testing.T) {
 	dst := NewAddressSpace()
 	mustMap(t, src, 0x1000, 1, KindMmap, "a")
 	src.WriteU8(0x1000, 9)
-	f := src.frames[PageOf(0x1000)]
+	f := src.frameAt(PageOf(0x1000))
 	if _, err := src.MovePages(dst, 0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	if dst.frames[PageOf(0x1000)] != f {
+	if dst.frameAt(PageOf(0x1000)) != f {
 		t.Fatal("MovePages copied the frame instead of moving the pointer")
 	}
 }

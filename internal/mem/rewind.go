@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+)
 
 // Rewind domains give one request a byte-exact undo log over the address
 // space, riding the soft-dirty infrastructure: while a domain is open, the
@@ -113,20 +117,37 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 				return 0, fmt.Errorf("mem: DiscardDomain: %w", err)
 			}
 		case undoUnmap:
+			// The frames come back from the page records below: Unmap
+			// touched every page it dropped.
+			u.m.frames = make([]*Frame, u.m.Pages)
 			as.insert(u.m)
 		case undoGrow:
-			u.m.Pages -= u.extra
+			u.m.resize(u.m.Pages - u.extra)
 		}
 	}
-	for p, rec := range d.pages {
-		if !rec.existed {
-			delete(as.frames, p)
+	// Restore in page order, so the restamps below are deterministic.
+	pages := make([]PageNum, 0, len(d.pages))
+	for p := range d.pages {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	for _, p := range pages {
+		rec := d.pages[p]
+		m := as.FindMapping(VAddr(p) << PageShift)
+		if m == nil {
+			// Mapped or grown inside the domain and undone above: the page
+			// had no frame before the domain either.
 			continue
 		}
-		f := as.frames[p]
+		i := m.slot(p)
+		if !rec.existed {
+			m.frames[i] = nil
+			continue
+		}
+		f := m.frames[i]
 		if f == nil {
 			f = &Frame{}
-			as.frames[p] = f
+			m.frames[i] = f
 		}
 		f.Data = rec.data
 		f.Dirty = rec.dirty
@@ -141,10 +162,11 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 	return len(d.pages), nil
 }
 
-// touch snapshots page p into the open domain's undo log before its first
-// mutation. Every write path calls it ahead of the write; it is a no-op when
-// no domain is open or the page was already captured.
-func (as *AddressSpace) touch(p PageNum) {
+// touch snapshots page p, whose current frame entry is f (nil when none),
+// into the open domain's undo log before its first mutation. Every write path
+// calls it ahead of the write; it is a no-op when no domain is open or the
+// page was already captured.
+func (as *AddressSpace) touch(p PageNum, f *Frame) {
 	if as.domain == nil {
 		return
 	}
@@ -152,12 +174,10 @@ func (as *AddressSpace) touch(p PageNum) {
 		return
 	}
 	rec := domainRecord{}
-	if f, ok := as.frames[p]; ok {
+	if f != nil {
 		rec.existed = true
 		rec.dirty = f.Dirty
-		if f.Data != nil {
-			rec.data = append([]byte(nil), f.Data...)
-		}
+		rec.data = bytes.Clone(f.Data)
 	}
 	as.domain.pages[p] = rec
 }
