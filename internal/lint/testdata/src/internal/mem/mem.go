@@ -1,6 +1,8 @@
 // Package mem is the fixture mirror of the frame-backed address space, laid
 // out so each dirty-bit hazard class appears exactly once, with a clean
-// funnel-using counterpart beside it.
+// funnel-using counterpart beside it. As in the real package, the page table
+// is dense and owned by the mappings: frames are found through a mapping's
+// slot slice.
 package mem
 
 const PageSize = 64
@@ -11,21 +13,37 @@ type Frame struct {
 	Gen   uint64
 }
 
+type Mapping struct {
+	First  uint64 // first page
+	frames []*Frame
+}
+
 type AddressSpace struct {
-	frames map[uint64]*Frame
-	gen    uint64
+	mappings []*Mapping
+	gen      uint64
 }
 
 func New() *AddressSpace {
-	return &AddressSpace{frames: map[uint64]*Frame{}}
+	return &AddressSpace{}
+}
+
+// find returns the mapping holding page and the page's slot in it.
+func (a *AddressSpace) find(page uint64) (*Mapping, int) {
+	for _, m := range a.mappings {
+		if page >= m.First && page < m.First+uint64(len(m.frames)) {
+			return m, int(page - m.First)
+		}
+	}
+	return nil, 0
 }
 
 // materialize is the tracking funnel: every legal write path goes through it.
 func (a *AddressSpace) materialize(page uint64) *Frame {
-	f := a.frames[page]
+	m, i := a.find(page)
+	f := m.frames[i]
 	if f == nil {
 		f = &Frame{Data: make([]byte, PageSize)}
-		a.frames[page] = f
+		m.frames[i] = f
 	}
 	f.Dirty = true
 	return f
@@ -45,9 +63,11 @@ func (a *AddressSpace) WriteU8(addr uint64, b byte) { a.write(addr, b) }
 // DirtyPages counts dirty frames (a bulk per-page walk).
 func (a *AddressSpace) DirtyPages() int {
 	n := 0
-	for _, f := range a.frames {
-		if f.Dirty {
-			n++
+	for _, m := range a.mappings {
+		for _, f := range m.frames {
+			if f != nil && f.Dirty {
+				n++
+			}
 		}
 	}
 	return n
@@ -56,28 +76,41 @@ func (a *AddressSpace) DirtyPages() int {
 // CopyPages is a bulk per-page transfer; the Frame literal with an explicit
 // Dirty field is its tracking evidence.
 func (a *AddressSpace) CopyPages(from *AddressSpace) {
-	for page, f := range from.frames {
-		nf := &Frame{Data: append([]byte(nil), f.Data...), Dirty: true, Gen: f.Gen}
-		a.frames[page] = nf
+	for _, m := range from.mappings {
+		nm := &Mapping{First: m.First, frames: make([]*Frame, len(m.frames))}
+		for i, f := range m.frames {
+			if f != nil {
+				nm.frames[i] = &Frame{Data: append([]byte(nil), f.Data...), Dirty: true, Gen: f.Gen}
+			}
+		}
+		a.mappings = append(a.mappings, nm)
 	}
 }
 
 // PokeRaw is the indexed-write mutant: it mutates frame bytes with no
 // materialize/dirty evidence anywhere in the function.
 func (a *AddressSpace) PokeRaw(addr uint64, b byte) {
-	f := a.frames[addr/PageSize]
+	m, i := a.find(addr / PageSize)
+	f := m.frames[i]
 	f.Data[addr%PageSize] = b
+}
+
+// PokeSlot is the page-table mutant: it writes the Data of the frame in a
+// mapping's slot directly, with no materialize/dirty evidence.
+func (a *AddressSpace) PokeSlot(addr uint64, b byte) {
+	m, i := a.find(addr / PageSize)
+	m.frames[i].Data[addr%PageSize] = b
 }
 
 // BlastCopy is the copy-destination mutant, via a locally derived buffer.
 func (a *AddressSpace) BlastCopy(page uint64, src []byte) {
-	f := a.frames[page]
-	d := f.Data
+	m, i := a.find(page)
+	d := m.frames[i].Data
 	copy(d, src)
 }
 
 // SwapData is the buffer-replacement mutant: the frame keeps its stale Gen.
 func (a *AddressSpace) SwapData(page uint64, buf []byte) {
-	f := a.frames[page]
-	f.Data = buf
+	m, i := a.find(page)
+	m.frames[i].Data = buf
 }
