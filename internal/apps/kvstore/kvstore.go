@@ -443,21 +443,18 @@ func (kv *KV) Checkpoint() {
 	m.Clock.Advance(time.Duration(pages) * m.Model.ForkPerPage)
 	// Child serializes and writes concurrently.
 	m.Clock.RunOffline(func() {
-		var buf []byte
+		// Records go straight into the image; the count header in front of
+		// them is patched once the walk has counted them.
+		img := make([]byte, 8)
 		var count uint64
 		kv.dict.Iterate(func(key []byte, val uint64) bool {
-			v := kv.ctx.BlobBytes(mem.VAddr(val))
-			buf = appendRecord(buf, key, v)
+			img = kv.appendRecord(img, key, mem.VAddr(val))
 			count++
 			return true
 		})
-		hdr := make([]byte, 8)
-		binary.LittleEndian.PutUint64(hdr, count)
-		img := append(hdr, buf...)
+		binary.LittleEndian.PutUint64(img, count)
 		exp := kv.expiresSnapshot()
-		var el [4]byte
-		binary.LittleEndian.PutUint32(el[:], uint32(len(exp)))
-		img = append(img, el[:]...)
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(exp)))
 		img = append(img, exp...)
 		m.Clock.Advance(time.Duration(len(img)) * m.Model.MarshalPerByte)
 		m.Disk.WriteFile(rdbFile, img)
@@ -500,14 +497,13 @@ type Record struct {
 	Val []byte
 }
 
-func appendRecord(buf []byte, key, val []byte) []byte {
-	var lk [4]byte
-	binary.LittleEndian.PutUint32(lk[:], uint32(len(key)))
-	buf = append(buf, lk[:]...)
+// appendRecord appends one RDB record, [u32 key len][key][u32 value
+// len][value], copying the value straight out of its blob at val.
+func (kv *KV) appendRecord(buf, key []byte, val mem.VAddr) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
-	binary.LittleEndian.PutUint32(lk[:], uint32(len(val)))
-	buf = append(buf, lk[:]...)
-	return append(buf, val...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(kv.ctx.BlobLen(val)))
+	return kv.ctx.AppendBlob(buf, val)
 }
 
 // DecodeRDB parses a snapshot image's key-value records.
