@@ -315,8 +315,9 @@ func (m Model) MigrateCutover(scannedPages, hashedPages, shippedPages int) time.
 }
 
 // SnapshotCommit returns the modelled duration of committing one MVCC
-// snapshot version with changedPages pages copied fresh (the rest shared
-// with the predecessor version).
+// snapshot version with changedPages pages written since the predecessor
+// version: each costs one page copy (the simulator makes it copy-on-write, at
+// the page's first write after a commit); the rest are shared.
 func (m Model) SnapshotCommit(changedPages int) time.Duration {
 	return m.SnapshotCommitFixed + time.Duration(changedPages)*m.SnapshotCopyPerPage
 }

@@ -15,6 +15,10 @@ import (
 // only audited probabilistically (AuditIncremental shadow checksums); this
 // analyzer checks the write paths themselves.
 //
+// Frame bytes are also shared copy-on-write between page tables (clones,
+// copied ranges, snapshot views, rewind pre-images), so a write in place must
+// first un-share them, or it changes the bytes under every other holder.
+//
 // Scope: packages named mem and kernel (the only owners of Frame buffers).
 // A hazard is a statement that can change bytes reachable from a Frame's
 // Data field:
@@ -24,12 +28,13 @@ import (
 //   - copy() with such a buffer as destination;
 //   - assignment to the Data field itself.
 //
-// A function containing hazards must also contain sanction evidence that it
-// participates in tracking: a call to the materialize/write/stamp funnels,
-// an explicit assignment to a Dirty or Gen field, or construction of a
-// Frame composite literal with an explicit Dirty field (the snapshot paths
-// that copy tracking state wholesale). Evidence is per-function — the
-// funnels themselves carry their own evidence, so the rule bottoms out.
+// The first two write bytes in place: the function must call the funnel
+// that un-shares and tracks them (materialize or write). Tracking state set
+// by hand does not un-share, so it does not sanction them. Replacing Data
+// leaves other holders' bytes alone and needs only tracking evidence: a call
+// to materialize, write or stamp, or an explicit assignment to a Dirty or
+// Gen field. Evidence is per-function — the funnels themselves carry their
+// own evidence, so the rule bottoms out.
 //
 // Caveat (documented in DESIGN.md): the derived-buffer taint is local and
 // syntactic; a Data slice smuggled through a field, channel, or call
@@ -116,9 +121,9 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 	info := pkg.Info
 
 	// Pass 1: local taint (vars bound to a Frame's Data buffer) and sanction
-	// evidence.
+	// evidence: funnel for in-place writes, tracked for Data replacement.
 	tainted := map[types.Object]bool{}
-	evidence := false
+	funnel, tracked := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
@@ -138,25 +143,17 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 			for _, lhs := range node.Lhs {
 				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 					if (sel.Sel.Name == "Dirty" || sel.Sel.Name == "Gen") && isFrameType(info.TypeOf(sel.X)) {
-						evidence = true
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if isFrameType(info.TypeOf(node)) {
-				for _, el := range node.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Dirty" {
-							evidence = true
-						}
+						tracked = true
 					}
 				}
 			}
 		case *ast.CallExpr:
 			if fn := calleeOf(info, node); fn != nil && fn.Pkg() == pkg.Types {
 				switch fn.Name() {
-				case "materialize", "write", "stamp":
-					evidence = true
+				case "materialize", "write":
+					funnel, tracked = true, true
+				case "stamp":
+					tracked = true
 				}
 			}
 		}
@@ -180,11 +177,10 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 		}
 		return false
 	}
-	hazard := func(pos token.Pos, what string) {
-		if evidence {
-			return
+	inPlace := func(pos token.Pos, what string) {
+		if !funnel {
+			add(pos, fmt.Sprintf("%s %s outside the materialize/write funnel; shared bytes change under their other holders and delta checksums may skip the change", fd.Name.Name, what))
 		}
-		add(pos, fmt.Sprintf("%s %s without materialize/dirty-marking evidence; delta checksums will skip the change", fd.Name.Name, what))
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
@@ -193,11 +189,11 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 				switch t := ast.Unparen(lhs).(type) {
 				case *ast.IndexExpr:
 					if isFrameBuf(t.X) {
-						hazard(lhs.Pos(), "writes into a frame-backed buffer")
+						inPlace(lhs.Pos(), "writes into a frame-backed buffer")
 					}
 				case *ast.SelectorExpr:
-					if t.Sel.Name == "Data" && isFrameType(info.TypeOf(t.X)) {
-						hazard(lhs.Pos(), "replaces a frame's Data buffer")
+					if t.Sel.Name == "Data" && isFrameType(info.TypeOf(t.X)) && !tracked {
+						add(lhs.Pos(), fmt.Sprintf("%s replaces a frame's Data buffer without materialize/dirty-marking evidence; delta checksums will skip the change", fd.Name.Name))
 					}
 				}
 			}
@@ -205,7 +201,7 @@ func dirtyBitInFunc(r *Repo, pkg *Pkg, fd *ast.FuncDecl) []Diagnostic {
 			if id, ok := ast.Unparen(node.Fun).(*ast.Ident); ok {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "copy" && len(node.Args) == 2 {
 					if isFrameBuf(node.Args[0]) {
-						hazard(node.Pos(), "copies into a frame-backed buffer")
+						inPlace(node.Pos(), "copies into a frame-backed buffer")
 					}
 				}
 			}

@@ -27,10 +27,11 @@ var golden = []Diagnostic{
 	{"cost-charging", "internal/kernel/kernel.go", 24, 1, "exported BadSweep does per-page work without charging a costmodel term"},
 	{"cost-charging", "internal/kernel/kernel.go", 30, 1, "exported CondSweep does per-page work but charges only conditionally; charge on every path"},
 	{"cost-charging", "internal/kernel/kernel.go", 52, 1, "exported BadTransitive does per-page work without charging a costmodel term"},
-	{"dirty-bit", "internal/mem/mem.go", 95, 2, "PokeRaw writes into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
-	{"dirty-bit", "internal/mem/mem.go", 102, 2, "PokeSlot writes into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
-	{"dirty-bit", "internal/mem/mem.go", 109, 2, "BlastCopy copies into a frame-backed buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
-	{"dirty-bit", "internal/mem/mem.go", 115, 2, "SwapData replaces a frame's Data buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 106, 2, "PokeRaw writes into a frame-backed buffer outside the materialize/write funnel; shared bytes change under their other holders and delta checksums may skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 113, 2, "PokeSlot writes into a frame-backed buffer outside the materialize/write funnel; shared bytes change under their other holders and delta checksums may skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 123, 2, "PokeShared writes into a frame-backed buffer outside the materialize/write funnel; shared bytes change under their other holders and delta checksums may skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 130, 2, "BlastCopy copies into a frame-backed buffer outside the materialize/write funnel; shared bytes change under their other holders and delta checksums may skip the change"},
+	{"dirty-bit", "internal/mem/mem.go", 136, 2, "SwapData replaces a frame's Data buffer without materialize/dirty-marking evidence; delta checksums will skip the change"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 19, 3, "reader closure of GlobalWriter.OpenSnapshotReader writes package-level state served; snapshot readers must be pure"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 31, 3, "reader closure of ReceiverWriter.OpenSnapshotReader writes captured variable r; snapshot readers must be pure"},
 	{"snapshot-purity", "internal/snapreader/snapreader.go", 42, 3, "reader closure of CaptureWriter.OpenSnapshotReader writes captured variable count; snapshot readers must be pure"},

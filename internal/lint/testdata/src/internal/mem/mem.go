@@ -1,21 +1,23 @@
 // Package mem is the fixture mirror of the frame-backed address space, laid
 // out so each dirty-bit hazard class appears exactly once, with a clean
 // funnel-using counterpart beside it. As in the real package, the page table
-// is dense and owned by the mappings: frames are found through a mapping's
-// slot slice.
+// is dense and owned by the mappings, its slots hold Frame values, and a
+// frame's bytes may be shared with another table until materialize copies
+// them.
 package mem
 
 const PageSize = 64
 
 type Frame struct {
-	Data  []byte
-	Dirty bool
-	Gen   uint64
+	Data   []byte
+	Dirty  bool
+	shared bool
+	Gen    uint64
 }
 
 type Mapping struct {
 	First  uint64 // first page
-	frames []*Frame
+	frames []Frame
 }
 
 type AddressSpace struct {
@@ -37,23 +39,25 @@ func (a *AddressSpace) find(page uint64) (*Mapping, int) {
 	return nil, 0
 }
 
-// materialize is the tracking funnel: every legal write path goes through it.
-func (a *AddressSpace) materialize(page uint64) *Frame {
-	m, i := a.find(page)
-	f := m.frames[i]
-	if f == nil {
-		f = &Frame{Data: make([]byte, PageSize)}
-		m.frames[i] = f
-	}
+// materialize is the tracking funnel: it marks the frame dirty and un-shares
+// its bytes, so every legal in-place write goes through it.
+func (f *Frame) materialize() {
 	f.Dirty = true
-	return f
+	if f.shared {
+		f.Data, f.shared = append([]byte(nil), f.Data...), false
+	}
+	if f.Data == nil {
+		f.Data = make([]byte, PageSize)
+	}
 }
 
-// write stamps the generation after materializing.
+// write stamps the generation and materializes before writing in place.
 func (a *AddressSpace) write(addr uint64, b byte) {
-	f := a.materialize(addr / PageSize)
+	m, i := a.find(addr / PageSize)
+	f := &m.frames[i]
 	a.gen++
 	f.Gen = a.gen
+	f.materialize()
 	f.Data[addr%PageSize] = b
 }
 
@@ -64,8 +68,8 @@ func (a *AddressSpace) WriteU8(addr uint64, b byte) { a.write(addr, b) }
 func (a *AddressSpace) DirtyPages() int {
 	n := 0
 	for _, m := range a.mappings {
-		for _, f := range m.frames {
-			if f != nil && f.Dirty {
+		for i := range m.frames {
+			if m.frames[i].Dirty {
 				n++
 			}
 		}
@@ -73,25 +77,32 @@ func (a *AddressSpace) DirtyPages() int {
 	return n
 }
 
-// CopyPages is a bulk per-page transfer; the Frame literal with an explicit
-// Dirty field is its tracking evidence.
+// CopyPages is a bulk per-page transfer: it shares the source's bytes and
+// copies the slots, writing no frame bytes.
 func (a *AddressSpace) CopyPages(from *AddressSpace) {
 	for _, m := range from.mappings {
-		nm := &Mapping{First: m.First, frames: make([]*Frame, len(m.frames))}
-		for i, f := range m.frames {
-			if f != nil {
-				nm.frames[i] = &Frame{Data: append([]byte(nil), f.Data...), Dirty: true, Gen: f.Gen}
+		for i := range m.frames {
+			if m.frames[i].Data != nil {
+				m.frames[i].shared = true
 			}
 		}
-		a.mappings = append(a.mappings, nm)
+		a.mappings = append(a.mappings, &Mapping{First: m.First, frames: append([]Frame(nil), m.frames...)})
 	}
+}
+
+// Release drops a page's bytes; the fresh stamp is its tracking evidence.
+func (a *AddressSpace) Release(page uint64) {
+	m, i := a.find(page)
+	a.gen++
+	m.frames[i].Gen = a.gen
+	m.frames[i].Data = nil
 }
 
 // PokeRaw is the indexed-write mutant: it mutates frame bytes with no
 // materialize/dirty evidence anywhere in the function.
 func (a *AddressSpace) PokeRaw(addr uint64, b byte) {
 	m, i := a.find(addr / PageSize)
-	f := m.frames[i]
+	f := &m.frames[i]
 	f.Data[addr%PageSize] = b
 }
 
@@ -100,6 +111,16 @@ func (a *AddressSpace) PokeRaw(addr uint64, b byte) {
 func (a *AddressSpace) PokeSlot(addr uint64, b byte) {
 	m, i := a.find(addr / PageSize)
 	m.frames[i].Data[addr%PageSize] = b
+}
+
+// PokeShared is the copy-on-write mutant: it sets the tracking state by hand
+// but writes the bytes in place, so a table sharing them sees the write.
+func (a *AddressSpace) PokeShared(addr uint64, b byte) {
+	m, i := a.find(addr / PageSize)
+	f := &m.frames[i]
+	a.gen++
+	f.Dirty, f.Gen = true, a.gen
+	f.Data[addr%PageSize] = b
 }
 
 // BlastCopy is the copy-destination mutant, via a locally derived buffer.

@@ -27,6 +27,18 @@ type mapDomain struct {
 	journal []mapUndo
 }
 
+// domainRecord is the pre-image of one touched page.
+type domainRecord struct {
+	// data is a copy of the frame's bytes at first touch; nil when the frame
+	// was unmaterialized (read as zeros).
+	data []byte
+	// dirty is the frame's soft-dirty bit at first touch.
+	dirty bool
+	// existed reports whether a frame bookkeeping entry existed at all; when
+	// false, discard deletes the entry instead of restoring into it.
+	existed bool
+}
+
 func newMapSpace() *mapSpace { return &mapSpace{frames: make(map[PageNum]*Frame)} }
 
 func (as *mapSpace) Map(start VAddr, pages int, kind Kind, name string) (*Mapping, error) {

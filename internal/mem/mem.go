@@ -4,9 +4,12 @@
 // An AddressSpace maps 4 KiB-page-aligned regions to physical Frames. Frames
 // are allocated lazily on first write (an untouched mapped page reads as
 // zeros, like anonymous memory). The key operation for PHOENIX is
-// MovePages: transferring frame pointers — the page-table entries — from a
-// dying address space into a fresh one with no data copy, which is the
-// zero-copy transfer mechanism of §3.3.
+// MovePages: transferring the page-table entries from a dying address space
+// into a fresh one with no data copy, which is the zero-copy transfer
+// mechanism of §3.3. Every other way to share pages (Clone, CopyPages,
+// snapshot commits, rewind pre-images) shares the frames' bytes copy-on-write:
+// the one page-byte copy in the package happens at the first write to a
+// shared frame.
 //
 // Accessing an unmapped address panics with *Fault. This mirrors a hardware
 // page fault turning into SIGSEGV: application code that follows a dangling
@@ -18,6 +21,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -89,7 +93,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Frame is a physical page frame. Data is allocated on first write; a nil
+// Frame is a page-table entry: a physical page frame, held by value in its
+// mapping's slot. The zero Frame (Gen 0) is "no entry": the page reads as
+// zeros and carries no dirty bit. Data is allocated on first write; a nil
 // Data reads as zeros.
 //
 // Dirty is the frame's soft-dirty bit: set by every write path (including
@@ -106,18 +112,39 @@ func (k Kind) String() string {
 // PageGen(p) knows the page's bytes are unchanged for exactly as long as the
 // stamp is. Live shard migration uses this to find its per-round delta
 // without touching the preserve machinery's soft-dirty baseline.
+//
+// shared says Data may also be referenced by another table — a clone, a
+// copied range, a frozen snapshot view or a rewind pre-image — so the bytes
+// are read-only until materialize gives this slot its own copy.
 type Frame struct {
-	Data  []byte
-	Dirty bool
-	Gen   uint64
+	Data   []byte
+	Dirty  bool
+	shared bool
+	Gen    uint64
 }
 
+// materialize returns f's bytes ready for mutation: it marks the frame dirty,
+// allocates a zero page on first write, and un-shares shared bytes. It is the
+// only place the package copies page bytes.
 func (f *Frame) materialize() []byte {
 	f.Dirty = true
+	if f.shared {
+		f.Data, f.shared = bytes.Clone(f.Data), false
+	}
 	if f.Data == nil {
 		f.Data = make([]byte, PageSize)
 	}
 	return f.Data
+}
+
+// share marks f's bytes as referenced from a second table, so that the next
+// write through either copies them first. A frame already shared is left
+// unwritten: every resident frame of a frozen view is, and views are read
+// from many goroutines at once.
+func (f *Frame) share() {
+	if f.Data != nil && !f.shared {
+		f.shared = true
+	}
 }
 
 // Mapping describes one contiguous mapped region. It owns the region's slice
@@ -129,10 +156,10 @@ type Mapping struct {
 	Name  string
 
 	// frames holds one slot per page: frames[i] is the frame of page
-	// PageOf(Start)+i, nil while that page has no frame entry (it reads as
-	// zeros and carries no dirty bit or stamp). A copy of a Mapping by value
-	// shares this slice, so each copy this package makes gets its own.
-	frames []*Frame
+	// PageOf(Start)+i, the zero Frame while that page has no entry. A copy of
+	// a Mapping by value shares this slice, so each copy this package makes
+	// gets its own.
+	frames []Frame
 }
 
 // End returns the first address past the mapping.
@@ -156,7 +183,7 @@ func (m *Mapping) resize(pages int) {
 		clear(m.frames[pages:])
 		m.frames = m.frames[:pages]
 	} else {
-		m.frames = append(m.frames, make([]*Frame, pages-len(m.frames))...)
+		m.frames = append(m.frames, make([]Frame, pages-len(m.frames))...)
 	}
 	m.Pages = pages
 }
@@ -203,7 +230,7 @@ func (as *AddressSpace) Map(start VAddr, pages int, kind Kind, name string) (*Ma
 	if start == 0 {
 		return nil, fmt.Errorf("mem: Map %s: page zero is reserved", name)
 	}
-	m := &Mapping{Start: start, Pages: pages, Kind: kind, Name: name, frames: make([]*Frame, pages)}
+	m := &Mapping{Start: start, Pages: pages, Kind: kind, Name: name, frames: make([]Frame, pages)}
 	if ov := as.overlap(m.Start, m.End()); ov != nil {
 		return nil, fmt.Errorf("mem: Map %s: [%#x,%#x) overlaps %s [%#x,%#x)",
 			name, uint64(start), uint64(m.End()), ov.Name, uint64(ov.Start), uint64(ov.End()))
@@ -258,8 +285,8 @@ func (as *AddressSpace) Unmap(start VAddr) error {
 	if as.domain != nil {
 		// Snapshot every frame the unmap is about to drop, then journal the
 		// mapping so a discard can re-insert it.
-		for j, f := range m.frames {
-			as.touch(PageOf(m.Start)+PageNum(j), f)
+		for j := range m.frames {
+			as.touch(PageOf(m.Start)+PageNum(j), &m.frames[j])
 		}
 		as.domain.journal = append(as.domain.journal, mapUndo{kind: undoUnmap, m: m})
 	}
@@ -329,12 +356,13 @@ func (as *AddressSpace) checkRange(addr VAddr, n int, op string) {
 	}
 }
 
-// frameAt returns page p's frame entry, or nil when p is unmapped or has none.
-func (as *AddressSpace) frameAt(p PageNum) *Frame {
+// frameAt returns page p's frame entry, the zero Frame when p is unmapped or
+// has none.
+func (as *AddressSpace) frameAt(p PageNum) Frame {
 	if m := as.FindMapping(VAddr(p) << PageShift); m != nil {
 		return m.frames[m.slot(p)]
 	}
-	return nil
+	return Frame{}
 }
 
 // mustFind returns the mapping containing addr, panicking with *Fault when
@@ -349,16 +377,11 @@ func (as *AddressSpace) mustFind(addr VAddr, op string) *Mapping {
 
 // data returns page p's bytes, nil when the page is not resident. p must lie
 // inside m.
-func (m *Mapping) data(p PageNum) []byte {
-	if f := m.frames[m.slot(p)]; f != nil {
-		return f.Data
-	}
-	return nil
-}
+func (m *Mapping) data(p PageNum) []byte { return m.frames[m.slot(p)].Data }
 
 // eachSpan calls fn, in address order, once for each mapping that overlaps
 // pages [lo, hi), with the first page of the overlap and the overlap's slots.
-func (as *AddressSpace) eachSpan(lo, hi PageNum, fn func(m *Mapping, first PageNum, slots []*Frame)) {
+func (as *AddressSpace) eachSpan(lo, hi PageNum, fn func(m *Mapping, first PageNum, slots []Frame)) {
 	for i := as.after(VAddr(lo) << PageShift); i < len(as.mappings); i++ {
 		m := as.mappings[i]
 		first := max(lo, PageOf(m.Start))
@@ -373,18 +396,14 @@ func (as *AddressSpace) eachSpan(lo, hi PageNum, fn func(m *Mapping, first PageN
 const allPages = ^PageNum(0)
 
 // write returns page p of mapping m materialized for mutation: it snapshots
-// the page into an open rewind domain, creates the frame entry on demand and
-// stamps a fresh write generation. Every byte-mutating path funnels through
-// it (or stamps explicitly, as Zero and DiscardDomain do), which is what
-// makes PageGen a sound change detector.
+// the page into an open rewind domain, stamps a fresh write generation (which
+// creates the frame entry if there was none) and un-shares the bytes. Every
+// byte-mutating path funnels through it (DiscardDomain stamps explicitly),
+// which is what makes PageGen a sound change detector and keeps shared bytes
+// unwritten.
 func (as *AddressSpace) write(m *Mapping, p PageNum) []byte {
-	i := m.slot(p)
-	f := m.frames[i]
+	f := &m.frames[m.slot(p)]
 	as.touch(p, f)
-	if f == nil {
-		f = &Frame{}
-		m.frames[i] = f
-	}
 	as.stamp(f)
 	return f.materialize()
 }
@@ -393,6 +412,7 @@ func (as *AddressSpace) write(m *Mapping, p PageNum) []byte {
 // Frames arriving from another address space (MovePages/CopyPages and their
 // rollbacks) must be re-stamped: their old stamps were drawn from a different
 // counter and could collide with generations this space already handed out.
+// Stamps never exceed writeGen.
 func (as *AddressSpace) stamp(f *Frame) {
 	as.writeGen++
 	f.Gen = as.writeGen
@@ -406,8 +426,8 @@ func (as *AddressSpace) ReadAt(addr VAddr, buf []byte) {
 		a := addr + VAddr(off)
 		pgOff := int(a % PageSize)
 		n := min(PageSize-pgOff, len(buf)-off)
-		if f := as.frameAt(PageOf(a)); f != nil && f.Data != nil {
-			copy(buf[off:off+n], f.Data[pgOff:])
+		if d := as.frameAt(PageOf(a)).Data; d != nil {
+			copy(buf[off:off+n], d[pgOff:])
 		} else {
 			clear(buf[off : off+n])
 		}
@@ -443,14 +463,9 @@ func (as *AddressSpace) Zero(addr VAddr, n int) {
 		a := addr + VAddr(off)
 		pgOff := int(a % PageSize)
 		cnt := min(PageSize-pgOff, n-off)
-		if f := as.frameAt(PageOf(a)); f != nil && f.Data != nil {
-			as.touch(PageOf(a), f)
-			d := f.Data[pgOff : pgOff+cnt]
-			for i := range d {
-				d[i] = 0
-			}
-			f.Dirty = true
-			as.stamp(f)
+		m := as.FindMapping(a)
+		if f := &m.frames[m.slot(PageOf(a))]; f.Data != nil {
+			clear(as.write(m, PageOf(a))[pgOff : pgOff+cnt])
 			if allZero(f.Data) {
 				f.Data = nil
 			}
@@ -559,14 +574,13 @@ func (as *AddressSpace) MovePages(dst *AddressSpace, start VAddr, pages int) (in
 	}
 	// Mirror each source mapping, clipped to the range, into dst and hand the
 	// mirror the source's slots.
-	as.eachSpan(PageOf(start), PageOf(end), func(m *Mapping, first PageNum, slots []*Frame) {
+	as.eachSpan(PageOf(start), PageOf(end), func(m *Mapping, first PageNum, slots []Frame) {
 		nm := &Mapping{Start: VAddr(first) << PageShift, Pages: len(slots), Kind: m.Kind, Name: m.Name,
-			frames: make([]*Frame, len(slots))}
-		for i, f := range slots {
-			if f != nil {
-				dst.stamp(f)
-				nm.frames[i] = f
-				slots[i] = nil
+			frames: slices.Clone(slots)}
+		clear(slots)
+		for i := range nm.frames {
+			if nm.frames[i].Gen != 0 {
+				dst.stamp(&nm.frames[i])
 			}
 		}
 		dst.insert(nm)
@@ -583,16 +597,17 @@ func (as *AddressSpace) MovePages(dst *AddressSpace, start VAddr, pages int) (in
 // process half-gutted.
 func (as *AddressSpace) UnmovePages(src *AddressSpace, start VAddr, pages int) {
 	end := start + VAddr(pages)*PageSize
-	as.eachSpan(PageOf(start), PageOf(end), func(_ *Mapping, first PageNum, slots []*Frame) {
-		for i, f := range slots {
-			if f != nil {
+	as.eachSpan(PageOf(start), PageOf(end), func(_ *Mapping, first PageNum, slots []Frame) {
+		for i := range slots {
+			if slots[i].Gen != 0 {
 				p := first + PageNum(i)
 				sm := src.FindMapping(VAddr(p) << PageShift)
+				f := &sm.frames[sm.slot(p)]
+				*f = slots[i]
 				src.stamp(f)
-				sm.frames[sm.slot(p)] = f
-				slots[i] = nil
 			}
 		}
+		clear(slots)
 	})
 	kept := as.mappings[:0]
 	for _, m := range as.mappings {
@@ -606,25 +621,28 @@ func (as *AddressSpace) UnmovePages(src *AddressSpace, start VAddr, pages int) {
 }
 
 // CopyPages copies the content of [start, start+pages*PageSize) from as into
-// dst, creating a single mapping there. Unlike MovePages it duplicates the
-// data (used by fork-style snapshots and partial-page preservation).
+// dst, creating a single mapping there (used by fork-style snapshots and
+// partial-page preservation). It returns the number of resident pages copied.
+// Unlike MovePages the source keeps its pages; both sides share the bytes
+// until either writes them.
 func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kind Kind, name string) (int, error) {
 	nm, err := dst.Map(start, pages, kind, name)
 	if err != nil {
 		return 0, err
 	}
 	copied := 0
-	as.eachSpan(PageOf(start), PageOf(start)+PageNum(pages), func(_ *Mapping, first PageNum, slots []*Frame) {
-		for i, f := range slots {
-			if f == nil {
+	as.eachSpan(PageOf(start), PageOf(start)+PageNum(pages), func(_ *Mapping, first PageNum, slots []Frame) {
+		for i := range slots {
+			if slots[i].Gen == 0 {
 				continue
 			}
 			// A copy preserves tracking state, it is not a write, but the
 			// generation is per-space: re-stamp on arrival.
-			nf := &Frame{Data: bytes.Clone(f.Data), Dirty: f.Dirty}
+			slots[i].share()
+			nf := &nm.frames[nm.slot(first+PageNum(i))]
+			*nf = slots[i]
 			dst.stamp(nf)
-			nm.frames[nm.slot(first+PageNum(i))] = nf
-			if f.Data != nil {
+			if nf.Data != nil {
 				copied++
 			}
 		}
@@ -632,9 +650,10 @@ func (as *AddressSpace) CopyPages(dst *AddressSpace, start VAddr, pages int, kin
 	return copied, nil
 }
 
-// Clone returns a deep copy of the address space: mappings and frame
-// contents are duplicated so the copy is fully independent. Used by
-// CRIU-style full-process snapshots.
+// Clone returns an independent copy of the address space: mappings and page
+// tables are duplicated, and the two spaces share every frame's bytes until
+// either writes them. Used by CRIU-style full-process snapshots and by
+// snapshot commits.
 func (as *AddressSpace) Clone() *AddressSpace {
 	cp := &AddressSpace{
 		mappings: make([]*Mapping, len(as.mappings)),
@@ -642,13 +661,11 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		ASLRBase: as.ASLRBase,
 	}
 	for i, m := range as.mappings {
-		nm := *m
-		nm.frames = make([]*Frame, len(m.frames))
-		for j, f := range m.frames {
-			if f != nil {
-				nm.frames[j] = &Frame{Data: bytes.Clone(f.Data), Dirty: f.Dirty, Gen: f.Gen}
-			}
+		for j := range m.frames {
+			m.frames[j].share()
 		}
+		nm := *m
+		nm.frames = slices.Clone(m.frames)
 		cp.mappings[i] = &nm
 	}
 	return cp
@@ -680,8 +697,8 @@ var zeroPageChecksum = Checksum(make([]byte, PageSize))
 // Unmaterialized frames (and unmapped pages) read as zeros, matching what
 // ReadAt would observe.
 func (as *AddressSpace) PageChecksum(p PageNum) uint64 {
-	if f := as.frameAt(p); f != nil && f.Data != nil {
-		return Checksum(f.Data)
+	if d := as.frameAt(p).Data; d != nil {
+		return Checksum(d)
 	}
 	return zeroPageChecksum
 }
@@ -698,32 +715,20 @@ func (as *AddressSpace) FlipBit(addr VAddr, bit uint) {
 	as.write(as.mustFind(addr, "write"), PageOf(addr))[addr%PageSize] ^= 1 << (bit % 8)
 }
 
-// PageGen returns page p's write-generation stamp; 0 means the page has
-// never been mutated in this address space (it reads as zeros, or carries a
-// pre-stamp snapshot). Equal stamps across two observations of the same
-// address space guarantee the page's bytes did not change in between; a
-// changed stamp says only that they may have. Migration delta rounds scan
+// PageGen returns page p's write-generation stamp; 0 means the page has no
+// frame entry (it reads as zeros). Equal stamps across two observations of
+// the same address space guarantee the page's bytes did not change in
+// between; a changed stamp says only that they may have. Migration delta rounds scan
 // stamps (cheap) and re-hash only stamp-changed pages (expensive), so round
 // cost tracks the write rate, not the shard size.
-func (as *AddressSpace) PageGen(p PageNum) uint64 {
-	if f := as.frameAt(p); f != nil {
-		return f.Gen
-	}
-	return 0
-}
+func (as *AddressSpace) PageGen(p PageNum) uint64 { return as.frameAt(p).Gen }
 
 // PageDirty reports whether page p carries a set soft-dirty bit.
-func (as *AddressSpace) PageDirty(p PageNum) bool {
-	f := as.frameAt(p)
-	return f != nil && f.Dirty
-}
+func (as *AddressSpace) PageDirty(p PageNum) bool { return as.frameAt(p).Dirty }
 
 // PageResident reports whether page p has materialized data. A non-resident
 // page reads as zeros and checksums as the zero page in O(1).
-func (as *AddressSpace) PageResident(p PageNum) bool {
-	f := as.frameAt(p)
-	return f != nil && f.Data != nil
-}
+func (as *AddressSpace) PageResident(p PageNum) bool { return as.frameAt(p).Data != nil }
 
 // DirtySet returns the numbers of every dirty page, in ascending order.
 func (as *AddressSpace) DirtySet() []PageNum { return as.dirtySet(0, allPages) }
@@ -747,9 +752,9 @@ func (as *AddressSpace) DirtySetIn(start VAddr, pages int) []PageNum {
 
 func (as *AddressSpace) dirtySet(lo, hi PageNum) []PageNum {
 	var out []PageNum
-	as.eachSpan(lo, hi, func(_ *Mapping, first PageNum, slots []*Frame) {
-		for i, f := range slots {
-			if f != nil && f.Dirty {
+	as.eachSpan(lo, hi, func(_ *Mapping, first PageNum, slots []Frame) {
+		for i := range slots {
+			if slots[i].Dirty {
 				out = append(out, first+PageNum(i))
 			}
 		}
@@ -759,9 +764,9 @@ func (as *AddressSpace) dirtySet(lo, hi PageNum) []PageNum {
 
 func (as *AddressSpace) dirtyPages(lo, hi PageNum) int {
 	n := 0
-	as.eachSpan(lo, hi, func(_ *Mapping, _ PageNum, slots []*Frame) {
-		for _, f := range slots {
-			if f != nil && f.Dirty {
+	as.eachSpan(lo, hi, func(_ *Mapping, _ PageNum, slots []Frame) {
+		for i := range slots {
+			if slots[i].Dirty {
 				n++
 			}
 		}
@@ -783,11 +788,9 @@ func (as *AddressSpace) ClearDirty(start VAddr, pages int) {
 func (as *AddressSpace) ClearAllDirty() { as.clearDirty(0, allPages) }
 
 func (as *AddressSpace) clearDirty(lo, hi PageNum) {
-	as.eachSpan(lo, hi, func(_ *Mapping, _ PageNum, slots []*Frame) {
-		for _, f := range slots {
-			if f != nil {
-				f.Dirty = false
-			}
+	as.eachSpan(lo, hi, func(_ *Mapping, _ PageNum, slots []Frame) {
+		for i := range slots {
+			slots[i].Dirty = false
 		}
 	})
 }
@@ -796,8 +799,8 @@ func (as *AddressSpace) clearDirty(lo, hi PageNum) {
 func (as *AddressSpace) ResidentPages() int {
 	n := 0
 	for _, m := range as.mappings {
-		for _, f := range m.frames {
-			if f != nil && f.Data != nil {
+		for i := range m.frames {
+			if m.frames[i].Data != nil {
 				n++
 			}
 		}

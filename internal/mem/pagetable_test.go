@@ -494,3 +494,25 @@ func TestSnapshotCommitAllocsFollowPagesWritten(t *testing.T) {
 		t.Fatalf("commit after %d page writes: %v allocs at 1k resident pages, %v at 8k", k, small, large)
 	}
 }
+
+// TestCloneAllocsFollowMappings: cloning a space with 1k resident pages
+// allocates the same as cloning one with 8k under the same mappings, so a
+// clone copies page tables, not pages.
+func TestCloneAllocsFollowMappings(t *testing.T) {
+	const mapped = 8192
+	cloneAllocs := func(resident int) float64 {
+		as := newSnapSpace(t, mapped)
+		if _, err := as.Map(snapBase+2*mapped*PageSize, 16, KindMmap, "second"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < resident; i++ {
+			as.WriteU64(snapBase+VAddr(i)*PageSize, uint64(i)+1)
+		}
+		return testing.AllocsPerRun(5, func() { as.Clone() })
+	}
+	small, large := cloneAllocs(1024), cloneAllocs(mapped)
+	t.Logf("clone of two mappings: %v allocs", small)
+	if small != large {
+		t.Fatalf("clone: %v allocs at 1k resident pages, %v at 8k", small, large)
+	}
+}

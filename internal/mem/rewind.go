@@ -1,38 +1,25 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 )
 
 // Rewind domains give one request a byte-exact undo log over the address
 // space, riding the soft-dirty infrastructure: while a domain is open, the
-// first write to each page snapshots the page's pre-image and its prior
-// dirty bit copy-on-write (an untouched page needs no snapshot — its bytes
-// and tracking state are trivially unchanged, which is why lazy first-touch
-// capture subsumes an eager dirty-set snapshot at domain entry).
-// DiscardDomain restores every touched page — content, residency, and
-// soft-dirty bit — so a faulting request rolls back exactly, including the
-// delta-checksum baseline: a page that was clean before the request is clean
-// again after the discard, and its restored bytes are the ones the cached
-// checksum was verified against.
+// first write to each page records the page's Frame value — its pre-image —
+// and shares its bytes, so the write itself copies them (an untouched page
+// needs no record — its bytes and tracking state are trivially unchanged,
+// which is why lazy first-touch capture subsumes an eager dirty-set snapshot
+// at domain entry). DiscardDomain puts every recorded Frame back — content,
+// residency, and soft-dirty bit — so a faulting request rolls back exactly,
+// including the delta-checksum baseline: a page that was clean before the
+// request is clean again after the discard, and its restored bytes are the
+// ones the cached checksum was verified against.
 //
 // Domains are a request-scoped, single-owner primitive: one domain per
 // address space, never open across a preserve_exec (the driver closes it
 // before any process-level restart).
-
-// domainRecord is the pre-image of one touched page.
-type domainRecord struct {
-	// data is a copy of the frame's bytes at first touch; nil when the frame
-	// was unmaterialized (read as zeros).
-	data []byte
-	// dirty is the frame's soft-dirty bit at first touch.
-	dirty bool
-	// existed reports whether a frame bookkeeping entry existed at all; when
-	// false, discard deletes the entry instead of restoring into it.
-	existed bool
-}
 
 // mapUndoKind tags one journaled mapping-level operation.
 type mapUndoKind int
@@ -56,12 +43,13 @@ type mapUndo struct {
 	extra int
 }
 
-// rewindDomain is the open domain's undo log: per-page pre-images plus a
-// journal of mapping-level operations (heap growth maps new arenas and frees
-// unmap large regions mid-request; rolling back the heap metadata without
-// rolling back the mappings would leave the two out of sync).
+// rewindDomain is the open domain's undo log: per-page pre-images (the zero
+// Frame for a page that had no entry) plus a journal of mapping-level
+// operations (heap growth maps new arenas and frees unmap large regions
+// mid-request; rolling back the heap metadata without rolling back the
+// mappings would leave the two out of sync).
 type rewindDomain struct {
-	pages   map[PageNum]domainRecord
+	pages   map[PageNum]Frame
 	journal []mapUndo
 }
 
@@ -70,7 +58,7 @@ func (as *AddressSpace) BeginRewindDomain() error {
 	if as.domain != nil {
 		return fmt.Errorf("mem: BeginRewindDomain: a domain is already open")
 	}
-	as.domain = &rewindDomain{pages: make(map[PageNum]domainRecord)}
+	as.domain = &rewindDomain{pages: make(map[PageNum]Frame)}
 	return nil
 }
 
@@ -119,7 +107,7 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 		case undoUnmap:
 			// The frames come back from the page records below: Unmap
 			// touched every page it dropped.
-			u.m.frames = make([]*Frame, u.m.Pages)
+			u.m.frames = make([]Frame, u.m.Pages)
 			as.insert(u.m)
 		case undoGrow:
 			u.m.resize(u.m.Pages - u.extra)
@@ -132,40 +120,31 @@ func (as *AddressSpace) DiscardDomain() (int, error) {
 	}
 	slices.Sort(pages)
 	for _, p := range pages {
-		rec := d.pages[p]
 		m := as.FindMapping(VAddr(p) << PageShift)
 		if m == nil {
 			// Mapped or grown inside the domain and undone above: the page
 			// had no frame before the domain either.
 			continue
 		}
-		i := m.slot(p)
-		if !rec.existed {
-			m.frames[i] = nil
-			continue
-		}
-		f := m.frames[i]
-		if f == nil {
-			f = &Frame{}
-			m.frames[i] = f
-		}
-		f.Data = rec.data
-		f.Dirty = rec.dirty
+		f := &m.frames[m.slot(p)]
+		*f = d.pages[p]
 		// The restore rewrites the page's bytes, so it is a content mutation
 		// from any generation observer's point of view — an observer that
 		// recorded the mid-domain stamp must not conclude "unchanged" now
 		// that the pre-image is back. The soft-dirty bit, by contrast, is
 		// rolled back: it belongs to the preserve baseline, which the
-		// pre-image bytes still match.
-		as.stamp(f)
+		// pre-image bytes still match. A page that had no entry gets none.
+		if f.Gen != 0 {
+			as.stamp(f)
+		}
 	}
 	return len(d.pages), nil
 }
 
-// touch snapshots page p, whose current frame entry is f (nil when none),
-// into the open domain's undo log before its first mutation. Every write path
-// calls it ahead of the write; it is a no-op when no domain is open or the
-// page was already captured.
+// touch records page p, whose slot is f, into the open domain's undo log
+// before its first mutation, sharing the slot's bytes with the record so the
+// mutation copies them. Every write path calls it ahead of the write; it is a
+// no-op when no domain is open or the page was already captured.
 func (as *AddressSpace) touch(p PageNum, f *Frame) {
 	if as.domain == nil {
 		return
@@ -173,11 +152,6 @@ func (as *AddressSpace) touch(p PageNum, f *Frame) {
 	if _, done := as.domain.pages[p]; done {
 		return
 	}
-	rec := domainRecord{}
-	if f != nil {
-		rec.existed = true
-		rec.dirty = f.Dirty
-		rec.data = bytes.Clone(f.Data)
-	}
-	as.domain.pages[p] = rec
+	f.share()
+	as.domain.pages[p] = *f
 }

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 )
@@ -11,28 +10,27 @@ import (
 // advances the next version (after gostore's llrb/bogn snapshot lifecycle).
 //
 // Commit freezes the current contents into a SnapshotVersion whose view is a
-// plain *AddressSpace built from *fresh* Frame copies — never aliases of the
-// live frames — so later writes, PreserveExec page moves, or rewind-domain
-// restores on the live space can not tear a published snapshot. The view
-// keeps one frozen frame for every live frame entry: a copy of the bytes for
-// a resident page, a Frame with only Gen for a non-resident one. Pages whose
-// write-generation stamp is unchanged since the previous version share that
-// version's frozen frame instead of being re-copied, so the bytes copied and
-// the frames allocated are proportional to the pages written since the last
-// commit; the rest of a commit is one walk over the page table.
+// Clone of the live space: a copy of every page table, sharing each frame's
+// bytes with the live space. Shared bytes are read-only — the live space's
+// next write to such a page copies it first (Frame.materialize) — so later
+// writes, PreserveExec page moves, or rewind-domain restores on the live space
+// can not tear a published snapshot. A commit copies no page bytes; the
+// writer copies each page it writes once after each commit, so the bytes
+// copied are proportional to the pages written between commits.
 //
 // Open returns the latest committed version in O(1) (a refcount bump under
 // the store mutex; the mutex handoff is also the happens-before edge that
 // publishes the frozen frames to reader goroutines). Release drops the ref;
 // a superseded version retires — its frame table is dropped so preserved
 // pages don't leak — the moment its last reader releases it. The latest
-// version is always retained as the sharing base for the next Commit.
+// version is always retained: Open hands it out, and the next Commit counts
+// its changes against it.
 //
 // One store is bound to one AddressSpace for its whole life. Within a single
-// space, per-page generation stamps only ever increase, which is what makes
-// share-by-generation sound; after a restart or migration installs a new
-// address space the caller must create a fresh store (the first Commit then
-// does a full copy).
+// space, generation stamps only ever increase, which is what makes Changed
+// (stamps newer than the previous version's MaxGen) exact; after a restart or
+// migration installs a new address space the caller must create a fresh store
+// (its first Commit counts every page as changed).
 type SnapshotStore struct {
 	mu sync.Mutex
 	as *AddressSpace
@@ -47,8 +45,8 @@ type SnapshotStore struct {
 type SnapshotVersion struct {
 	seq  uint64
 	view *AddressSpace
-	// maxGen is the highest generation visible at commit (write counter and
-	// frame stamps both); no frame in a frozen view may ever exceed it.
+	// maxGen is the space's write counter at commit, which no frame stamp
+	// exceeds; no frame in a frozen view may ever exceed it.
 	maxGen  uint64
 	changed int
 	refs    int
@@ -72,41 +70,18 @@ func (s *SnapshotStore) Commit() *SnapshotVersion {
 	defer s.mu.Unlock()
 
 	prev := s.latest
-	s.nextSeq++
-	v := &SnapshotVersion{
-		seq:    s.nextSeq,
-		view:   &AddressSpace{ASLRBase: s.as.ASLRBase, mappings: make([]*Mapping, len(s.as.mappings))},
-		maxGen: s.as.writeGen,
-	}
-	prevView := &AddressSpace{} // the first commit shares nothing
+	var since uint64 // pages stamped after it changed since the previous version
 	if prev != nil {
-		prevView = prev.view
+		since = prev.maxGen
 	}
-	for i, m := range s.as.mappings {
-		nm := *m
-		nm.frames = make([]*Frame, len(m.frames))
-		var pm *Mapping // prevView's mapping holding the current page
-		for j, f := range m.frames {
-			if f == nil {
-				continue // no entry: the view reads zeros, like the live space
+	s.nextSeq++
+	v := &SnapshotVersion{seq: s.nextSeq, view: s.as.Clone(), maxGen: s.as.writeGen}
+	for _, m := range v.view.mappings {
+		for i := range m.frames {
+			if m.frames[i].Gen > since {
+				v.changed++
 			}
-			v.maxGen = max(v.maxGen, f.Gen)
-			addr := m.Start + VAddr(j)*PageSize
-			if pm == nil || !pm.Contains(addr) {
-				pm = prevView.FindMapping(addr)
-			}
-			// Unchanged since the previous version: share its frozen frame.
-			// Residency can't change without a stamp.
-			if pm != nil {
-				if pf := pm.frames[pm.slot(PageOf(addr))]; pf != nil && pf.Gen == f.Gen {
-					nm.frames[j] = pf
-					continue
-				}
-			}
-			v.changed++
-			nm.frames[j] = &Frame{Data: bytes.Clone(f.Data), Gen: f.Gen}
 		}
-		v.view.mappings[i] = &nm
 	}
 
 	s.latest = v
@@ -130,8 +105,8 @@ func (s *SnapshotStore) Open() *SnapshotVersion {
 }
 
 // Release drops one reference. A superseded version retires when its last
-// reference goes; the latest version is retained as the next commit's
-// sharing base. Safe to call from any goroutine.
+// reference goes; the latest version is always retained. Safe to call from
+// any goroutine.
 func (s *SnapshotStore) Release(v *SnapshotVersion) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,18 +151,18 @@ func (s *SnapshotStore) RetiredVersions() int {
 	return s.retired
 }
 
-// RetainedPages counts the distinct frozen resident frames held across all
-// live versions — the real memory cost of the version set (shared frames
-// count once).
+// RetainedPages counts the distinct resident page versions held across all
+// live versions — the memory cost of the version set. A page whose stamp is
+// the same in two versions has the same bytes in both, so it counts once.
 func (s *SnapshotStore) RetainedPages() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[*Frame]struct{})
+	seen := make(map[[2]uint64]struct{}) // page number, stamp
 	for _, v := range s.live {
 		for _, m := range v.view.mappings {
-			for _, f := range m.frames {
-				if f != nil && f.Data != nil {
-					seen[f] = struct{}{}
+			for i := range m.frames {
+				if f := &m.frames[i]; f.Data != nil {
+					seen[[2]uint64{uint64(PageOf(m.Start)) + uint64(i), f.Gen}] = struct{}{}
 				}
 			}
 		}
@@ -205,8 +180,8 @@ func (v *SnapshotVersion) Seq() uint64 { return v.seq }
 // MaxGen is the highest write-generation stamp visible at commit time.
 func (v *SnapshotVersion) MaxGen() uint64 { return v.maxGen }
 
-// Changed is the number of pages this commit copied fresh (its incremental
-// cost; the rest were shared with the predecessor).
+// Changed is the number of pages stamped since the previous commit — the
+// pages whose bytes this version does not share with its predecessor.
 func (v *SnapshotVersion) Changed() int { return v.changed }
 
 // CheckFrozen is the stale-snapshot oracle: every frame in the frozen view
@@ -220,7 +195,7 @@ func (v *SnapshotVersion) CheckFrozen() error {
 	}
 	for _, m := range view.mappings {
 		for i, f := range m.frames {
-			if f != nil && f.Gen > v.maxGen {
+			if f.Gen > v.maxGen {
 				return fmt.Errorf("mem: snapshot v%d page %d gen %d exceeds commit horizon %d (live frame leaked into frozen view)",
 					v.seq, PageOf(m.Start)+PageNum(i), f.Gen, v.maxGen)
 			}

@@ -116,14 +116,15 @@ func TestSnapshotCheckFrozenCatchesLeakedFrame(t *testing.T) {
 	st := NewSnapshotStore(as)
 	v := st.Commit()
 
-	// Simulate the bug the oracle exists for: alias a live frame into the
-	// frozen view, then write through the live space.
+	// Simulate the bug the oracle exists for: a write through the live space
+	// that becomes visible in the frozen view — plant the live slot's value,
+	// written after the commit, in the view's slot.
+	as.WriteU64(snapBase, 2)
 	p := PageOf(snapBase)
 	vm := v.view.FindMapping(snapBase)
 	vm.frames[vm.slot(p)] = as.frameAt(p)
-	as.WriteU64(snapBase, 2)
 	if err := v.CheckFrozen(); err == nil {
-		t.Fatal("CheckFrozen missed a live frame aliased into the view")
+		t.Fatal("CheckFrozen missed a post-commit live frame planted in the view")
 	}
 }
 
@@ -184,6 +185,114 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	if got, want := st.RetainedPages(), 2; got != want {
 		t.Fatalf("latest version retains %d frames, want %d", got, want)
 	}
+}
+
+// TestSharedFramesStayIsolated: a frozen view and a Clone share the live
+// space's page bytes, and readers check both against the bytes recorded at
+// the commit while the writer (1) discards a rewind domain, putting back
+// pre-images the view and the clone also reference, (2) moves half of those
+// shared frames into a new space and writes them there, and (3) overwrites
+// every shared page left in the live space. Every write must copy the shared
+// bytes first; run under -race this also catches a write that reaches them.
+func TestSharedFramesStayIsolated(t *testing.T) {
+	const pages = 16
+	as := newSnapSpace(t, pages)
+	page := func(i int) VAddr { return snapBase + VAddr(i)*PageSize }
+	fill := func(space *AddressSpace, i int, seed byte) {
+		space.WriteAt(page(i), bytes.Repeat([]byte{seed + byte(i)}, PageSize))
+	}
+	for i := 0; i < pages; i++ {
+		fill(as, i, 'a')
+	}
+	want := make([][]byte, pages)
+	for i := range want {
+		want[i] = as.ReadBytes(page(i), PageSize)
+	}
+	st := NewSnapshotStore(as)
+	st.Commit()
+	v := st.Open()
+	clone := as.Clone()
+
+	check := func(what string, space *AddressSpace) error {
+		for i := 0; i < pages; i++ {
+			if got := space.ReadBytes(page(i), PageSize); !bytes.Equal(got, want[i]) {
+				return fmt.Errorf("%s page %d changed: byte 0 is %q, want %q", what, i, got[0], want[i][0])
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	var started sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for r, space := range []*AddressSpace{v.View(), clone} {
+		what := []string{"view", "clone"}[r]
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				if err := check(what, space); err != nil {
+					errs <- err
+					return
+				}
+				if n == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+
+	if err := as.BeginRewindDomain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		fill(as, i, 'A')
+	}
+	if _, err := as.DiscardDomain(); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewAddressSpace()
+	if _, err := as.MovePages(dst, snapBase, pages/2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if i < pages/2 {
+			fill(dst, i, 'M')
+		} else {
+			fill(as, i, 'W')
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, c := range []struct {
+		what  string
+		space *AddressSpace
+	}{{"view", v.View()}, {"clone", clone}} {
+		if err := check(c.what, c.space); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < pages; i++ {
+		space, seed := as, byte('W')
+		if i < pages/2 {
+			space, seed = dst, 'M'
+		}
+		if got := space.ReadU8(page(i)); got != seed+byte(i) {
+			t.Errorf("page %d reads %q after its write, want %q", i, got, seed+byte(i))
+		}
+	}
+	st.Release(v)
 }
 
 // FuzzSnapshotInterleave drives a random interleaving of writes, zeroes,

@@ -12,8 +12,9 @@ import (
 	"phoenix/internal/mem"
 )
 
-// CRIUImage is a full-process checkpoint: a deep copy of the address space
-// plus accounting of how many bytes the on-disk image occupies. In
+// CRIUImage is a full-process checkpoint: a Clone of the address space (its
+// page bytes shared copy-on-write with the process it was taken from) plus
+// accounting of how many bytes the on-disk image occupies. In
 // incremental mode an image may be a delta on top of a parent chain: Bytes is
 // what *this* snapshot wrote, ChainBytes the cumulative chain a restore must
 // read back (equal to Bytes for a full snapshot).

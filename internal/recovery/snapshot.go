@@ -55,7 +55,7 @@ func (r *SnapshotReader) Close() { r.store.Release(r.v) }
 // snapshotStore returns the store bound to the live process's address space,
 // creating it when none exists yet or when a restart/migration installed a
 // new space (versions of the dead incarnation die with it — the first commit
-// on the new space is a full copy).
+// on the new space counts every page as changed).
 func (h *Harness) snapshotStore() *mem.SnapshotStore {
 	if h.snapStore == nil || h.snapStore.Space() != h.proc.AS {
 		h.snapStore = mem.NewSnapshotStore(h.proc.AS)
@@ -65,7 +65,7 @@ func (h *Harness) snapshotStore() *mem.SnapshotStore {
 
 // SnapshotCommit freezes the current application state as a new MVCC version,
 // charging the incremental commit cost (pages written since the previous
-// commit). Returns the number of pages copied. The app must implement
+// commit). Returns that number of pages. The app must implement
 // SnapshotServer — committing versions nobody can read is a driver bug.
 func (h *Harness) SnapshotCommit() (changed int, err error) {
 	if _, ok := h.App.(SnapshotServer); !ok {
